@@ -4,8 +4,9 @@
 /// The src/policy subsystem makes every power-saving behavior selectable
 /// through one knob (ScenarioSpec::with_power_policy); this ablation runs
 /// the four WLAN policies side by side on the same MP3 BSS workload:
-///   * cam       — always-on baseline (adapter onto the seed scenario)
-///   * psm       — 802.11 PSM adapter (TIM beacons + PS-Polls)
+///   * cam       — always-on baseline (alias for ScenarioSpec::cam())
+///   * psm       — 802.11 PSM (alias for ScenarioSpec::psm(): TIM beacons
+///                 + PS-Polls)
 ///   * micro_nap — μNap in-exchange micro-sleeps: the radio naps through
 ///                 NAV reservations and its own backoff countdowns when
 ///                 the gap clears the wake/sleep break-even

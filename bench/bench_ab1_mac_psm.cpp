@@ -9,7 +9,9 @@
 ///  * EC-MAC's centrally broadcast schedule removes PS-Poll contention and
 ///    gives exact doze windows (lower power than PSM).
 ///  * MAC-level aggregation creates longer sleep periods.
-///  * PAMAS stations stretch their sleep as the battery drains.
+///  * PAMAS stations stretch their sleep as the battery drains (the
+///    policy subsystem's PolicyStation driven by PamasPolicy's battery
+///    threshold table).
 
 #include <cstdio>
 #include <memory>
@@ -18,9 +20,9 @@
 #include "core/backend.hpp"
 #include "core/scenario_spec.hpp"
 #include "mac/access_point.hpp"
-#include "mac/pamas.hpp"
 #include "mac/station.hpp"
-#include "power/battery.hpp"
+#include "policy/pamas_policy.hpp"
+#include "policy/station.hpp"
 #include "traffic/source.hpp"
 
 using namespace wlanps;
@@ -68,12 +70,11 @@ void pamas_demo() {
     mac::AccessPointConfig ap_cfg;
     ap_cfg.mode = mac::ApMode::psm;
     mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(1));
-    // Tiny battery so the drain is visible within the run.
-    power::BatteryConfig bat_cfg;
-    bat_cfg.capacity = power::Energy::from_joules(60.0);
-    power::Battery battery(bat_cfg);
-    mac::PamasConfig pamas_cfg;
-    mac::PamasStation st(sim, bss, 1, ap, battery, pamas_cfg, phy::WlanNicConfig{});
+    // The default PAMAS pack is small so the drain is visible within the run.
+    const auto config = policy::PowerPolicyConfig::of(policy::PolicyKind::pamas);
+    policy::PamasPolicy pamas(config.pamas);
+    policy::PolicyStation st(sim, bss, ap, 1, pamas, config, mac::DcfConfig{},
+                             phy::WlanNicConfig{}, root.fork(3));
     traffic::PoissonSource src(sim, [&ap](DataSize s) { ap.send(1, s); },
                                DataSize::from_bytes(1460), Rate::from_kbps(64), root.fork(2));
     ap.start();
@@ -82,7 +83,8 @@ void pamas_demo() {
     for (int checkpoint = 1; checkpoint <= 4; ++checkpoint) {
         sim.run_until(Time::from_seconds(checkpoint * 60));
         std::printf("  t=%3ds  battery %5.1f%%  cycle period %s  frames rx %llu\n",
-                    checkpoint * 60, 100.0 * battery.level(), st.current_period().str().c_str(),
+                    checkpoint * 60, 100.0 * st.battery()->level(),
+                    pamas.sleep_quantum().str().c_str(),
                     static_cast<unsigned long long>(st.frames_received()));
     }
     bu::note("expected shape: period grows as the battery level falls");

@@ -9,7 +9,6 @@
 /// 20-byte RTS collisions at the price of per-frame control overhead).
 
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -50,14 +49,7 @@ Outcome run(int stations, bool rts, Time duration = Time::from_seconds(5)) {
 
     // Saturated uplink: every station re-sends on completion.
     for (auto& st : sta) {
-        auto* station = st.get();
-        auto again = std::make_shared<std::function<void(bool)>>();
-        *again = [station, &sim, duration, again](bool) {
-            if (sim.now() < duration) {
-                station->send_up(DataSize::from_bytes(1400), *again);
-            }
-        };
-        station->send_up(DataSize::from_bytes(1400), *again);
+        mac::SaturatedUplink{st.get(), &sim, DataSize::from_bytes(1400), duration}.start();
     }
     sim.run_until(duration);
 

@@ -305,12 +305,11 @@ BENCHMARK(BM_Federation)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 void BM_ExperimentSweep(benchmark::State& state) {
     // An 8-run Hotspot sweep through the experiment runner at 1..N worker
     // threads — the multi-core scaling path every sweep bench rides on.
-    namespace sc = core::scenarios;
-    sc::StreamConfig config;
+    core::StreamConfig config;
     config.clients = 1;
     config.duration = Time::from_seconds(5);
     auto spec = exp::ExperimentSpec{}
-                    .with_run(sc::spec_grid_run(
+                    .with_run(core::scenarios::spec_grid_run(
                         std::make_shared<core::SimBackend>(),
                         {core::ScenarioSpec::hotspot().with_stream(config),
                          core::ScenarioSpec::hotspot().with_stream(config)}))

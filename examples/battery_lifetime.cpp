@@ -1,14 +1,15 @@
 /// \file battery_lifetime.cpp
 /// Battery-lifetime projection: how each configuration of the Figure 2
 /// experiment translates into hours of MP3 playback on the IPAQ 3970's
-/// 1400 mAh pack, plus a PAMAS-style battery-adaptive MAC demo.
+/// 1400 mAh pack, plus the battery's rate-capacity effect.
 ///
 /// The four configurations run as one experiment grid on the parallel
-/// ExperimentRunner — each grid point is one scenario factory.
+/// ExperimentRunner — each grid point is one ScenarioSpec.
 ///
 /// Build & run:  ./build/examples/battery_lifetime
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,26 +19,21 @@
 
 int main() {
     using namespace wlanps;
-    namespace sc = core::scenarios;
 
-    sc::StreamConfig config;
+    core::StreamConfig config;
     config.clients = 1;
     config.duration = Time::from_seconds(120);
 
-    // One grid point per Figure 2 configuration; the factory switches on
-    // the point index.
+    // One grid point per Figure 2 configuration.
     const std::vector<std::string> labels = {"wlan-cam", "wlan-psm", "bt-active", "hotspot-edf"};
-    const std::vector<sc::ScenarioFactory> factories = {
-        sc::wlan_cam_factory(config),
-        sc::wlan_psm_factory(config),
-        sc::bt_active_factory(config),
-        sc::hotspot_factory(config),
-    };
     const auto result = exp::ExperimentRunner{}.run(
         exp::ExperimentSpec{}
-            .with_run([&factories](const exp::ParamPoint& point, std::uint64_t seed) {
-                return sc::to_metrics(factories[point.index](seed));
-            })
+            .with_run(core::scenarios::spec_grid_run(
+                std::make_shared<core::SimBackend>(),
+                {core::ScenarioSpec::cam().with_stream(config),
+                 core::ScenarioSpec::psm().with_stream(config),
+                 core::ScenarioSpec::bt().with_stream(config),
+                 core::ScenarioSpec::hotspot().with_stream(config)}))
             .with_points(labels)
             .with_seeds({config.seed}));
 
@@ -45,7 +41,7 @@ int main() {
                 phy::calibration::kIpaqBattery.str().c_str(),
                 phy::calibration::kIpaqBase.watts());
     std::printf("%-26s %14s %12s\n", "configuration", "device power", "lifetime");
-    for (std::size_t p = 0; p < factories.size(); ++p) {
+    for (std::size_t p = 0; p < labels.size(); ++p) {
         const auto device =
             power::Power::from_watts(result.aggregate.metric(p, "device_w").mean());
         power::Battery battery(power::BatteryConfig{});

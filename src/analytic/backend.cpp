@@ -31,23 +31,14 @@ std::string AnalyticBackend::unsupported_reason(const ScenarioSpec& spec) const 
             break;
     }
     if (spec.has_power_policy()) {
-        switch (spec.power_policy_config().kind) {
-            case policy::PolicyKind::cam:
-            case policy::PolicyKind::psm:
-                break;  // adapter kinds map onto the cam/psm closed forms
-            case policy::PolicyKind::ecmac:
-                return "the EC-MAC superframe schedule is event-driven and has no "
-                       "closed-form model — run the ecmac power policy on the sim "
-                       "backend";
-            case policy::PolicyKind::micro_nap:
-                return "micro_nap sleeps hinge on per-exchange NAV/backoff gap "
-                       "timing, which has no closed form — run micro_nap on the "
-                       "sim backend";
-            case policy::PolicyKind::pamas:
-                return "pamas stretches its duty cycle along a battery trajectory, "
-                       "a transient with no closed form — run pamas on the sim "
-                       "backend";
+        if (spec.power_policy_config().kind == policy::PolicyKind::micro_nap) {
+            return "micro_nap sleeps hinge on per-exchange NAV/backoff gap "
+                   "timing, which has no closed form — run micro_nap on the "
+                   "sim backend";
         }
+        return "pamas stretches its duty cycle along a battery trajectory, "
+               "a transient with no closed form — run pamas on the sim "
+               "backend";
     }
     if (!spec.stream().fault_plan.empty()) {
         return "fault plans model transients, not steady state — run faulted "
@@ -81,28 +72,6 @@ ScenarioResult AnalyticBackend::do_run(const ScenarioSpec& spec, std::uint64_t s
     const auto& stream = spec.stream();
 
     power::Power wnic;
-    if (spec.policy() == Policy::cam && spec.has_power_policy() &&
-        spec.power_policy_config().kind == policy::PolicyKind::psm) {
-        // psm adapter: same closed form as the native psm policy.
-        const auto& power = spec.power_policy_config();
-        PsmModelParams params;
-        params.stations = stream.clients;
-        params.listen_interval = power.psm_listen_interval;
-        params.aggregate_limit = power.psm_aggregate_limit;
-        params.beacon_interval = power.beacon_interval;
-        wnic = psm_station_power(params, stream.wlan_nic, stream.wlan_link);
-        ClientMetrics m;
-        m.wnic_average = wnic;
-        m.wnic_energy = wnic.over(stream.duration);
-        m.device_average = wnic + cal::kIpaqBase;
-        m.qos = 1.0;
-        m.underruns = 0;
-        m.received = cal::kMp3Rate.data_in(stream.duration);
-        ScenarioResult result;
-        result.label = spec.label();
-        result.clients.assign(static_cast<std::size_t>(spec.clients()), m);
-        return result;
-    }
     switch (spec.policy()) {
         case Policy::cam:
             wnic = cam_station_power(stream.wlan_nic, stream.wlan_link);

@@ -248,17 +248,26 @@ Policy parse_policy(std::string_view name) {
     return Policy::cam;  // unreachable
 }
 
+ScenarioSpec& ScenarioSpec::with_power_policy(policy::PowerPolicyConfig config) {
+    if (!power_set_) power_on_cam_ = policy_ == Policy::cam;
+    power_ = std::move(config);
+    power_set_ = true;
+    if (!power_on_cam_) return *this;  // validate() refuses it
+    policy_ = Policy::cam;
+    if (power_.kind == policy::PolicyKind::psm) {
+        policy_ = Policy::psm;
+        if (!psm_set_) psm_ = PsmConfig{}.with_beacon_interval(power_.beacon_interval);
+    } else if (power_.kind == policy::PolicyKind::ecmac) {
+        policy_ = Policy::ecmac;
+    }
+    return *this;
+}
+
 std::string ScenarioSpec::label() const {
     switch (policy_) {
         case Policy::cam:
-            if (power_set_) {
-                switch (power_.kind) {
-                    case policy::PolicyKind::cam: return "wlan-cam";
-                    case policy::PolicyKind::psm: return "wlan-psm";
-                    case policy::PolicyKind::ecmac: return "ec-mac";
-                    case policy::PolicyKind::micro_nap: return "micro-nap";
-                    case policy::PolicyKind::pamas: return "pamas";
-                }
+            if (has_power_policy()) {
+                return power_.kind == policy::PolicyKind::micro_nap ? "micro-nap" : "pamas";
             }
             return "wlan-cam";
         case Policy::psm: return "wlan-psm";
@@ -284,28 +293,13 @@ std::string ScenarioSpec::describe() const {
     }
     switch (policy_) {
         case Policy::cam:
-            if (power_set_) {
+            if (has_power_policy()) {
                 out += " power_policy=" + std::string(policy::to_string(power_.kind));
                 out += " beacon_ms=" + fmt(power_.beacon_interval.to_seconds() * 1e3);
-                switch (power_.kind) {
-                    case policy::PolicyKind::cam:
-                        break;
-                    case policy::PolicyKind::psm:
-                        out += " listen_interval=" + std::to_string(power_.psm_listen_interval);
-                        out += " aggregate_limit=" + std::to_string(power_.psm_aggregate_limit);
-                        break;
-                    case policy::PolicyKind::ecmac:
-                        out += " superframe_ms=" +
-                               fmt(power_.ecmac_superframe.to_seconds() * 1e3);
-                        break;
-                    case policy::PolicyKind::micro_nap:
-                        out += " nap_guard_us=" +
-                               fmt(power_.micro_nap.guard.to_seconds() * 1e6);
-                        break;
-                    case policy::PolicyKind::pamas:
-                        out += " pamas_base_ms=" +
-                               fmt(power_.pamas.base_period.to_seconds() * 1e3);
-                        break;
+                if (power_.kind == policy::PolicyKind::micro_nap) {
+                    out += " nap_guard_us=" + fmt(power_.micro_nap.guard.to_seconds() * 1e6);
+                } else {
+                    out += " pamas_base_ms=" + fmt(power_.pamas.base_period.to_seconds() * 1e3);
                 }
                 if (power_.uplink_period > Time::zero()) {
                     out += " uplink_ms=" + fmt(power_.uplink_period.to_seconds() * 1e3);
@@ -403,131 +397,47 @@ void ScenarioSpec::validate() const {
                            "' scenario — use ScenarioSpec::federation()");
     // Power policies replace the station build, so they ride the cam base
     // policy only — every other policy already fixes its station behavior.
-    WLANPS_REQUIRE_MSG(!power_set_ || policy_ == Policy::cam,
+    WLANPS_REQUIRE_MSG(!power_set_ || power_on_cam_,
                        "PowerPolicyConfig set on a '" + policy_name +
                            "' scenario — power policies ride the cam base: "
                            "ScenarioSpec::cam().with_power_policy(...)");
-    // Only the cam, psm, hotspot, and federation worlds route fault hooks
-    // (cam and the power-policy worlds take per-kind whitelists below).
-    WLANPS_REQUIRE_MSG(
-        stream_.fault_plan.empty() ||
-            policy_ == Policy::cam || policy_ == Policy::psm ||
-            policy_ == Policy::hotspot || policy_ == Policy::federation,
-        "fault plans are only injectable into cam, psm, hotspot, and "
-        "federation scenarios, not '" + policy_name + "'");
+    if (power_set_) {
+        power_.validate();
+        const std::string kind = policy::to_string(power_.kind);
+        WLANPS_REQUIRE_MSG(has_power_policy() || power_.uplink_period.is_zero(),
+                           "uplink_period is set on the '" + kind +
+                               "' power policy, an alias for ScenarioSpec::" + kind +
+                               "() with no uplink workload — use micro_nap or pamas "
+                               "for uplink traffic");
+    }
     stream_.fault_plan.validate();
-    if (policy_ == Policy::hotspot && hotspot_.sharding.enabled()) {
-        // The sharded world routes fault hooks through per-shard injectors,
-        // but has no beacon/poll MAC and the schedule-drop gate lives in the
-        // (absent) HotspotServer — refuse those kinds with a pointer.
-        for (const auto& f : stream_.fault_plan.specs()) {
-            const bool supported =
-                f.kind != fault::FaultKind::beacon_loss &&
-                f.kind != fault::FaultKind::poll_drop &&
-                f.kind != fault::FaultKind::schedule_drop;
-            WLANPS_REQUIRE_MSG(
-                supported,
-                std::string("sharded hotspot cannot inject '") +
-                    fault::to_string(f.kind) +
-                    "' (the schedule-ahead control plane has no beacon/poll MAC "
-                    "or schedule-message path) — use the single-queue hotspot "
-                    "(shards = 0) for that kind");
-        }
-        if (hotspot_.bt_available) {
-            const int per_cell =
-                (stream_.clients + hotspot_.sharding.shards - 1) / hotspot_.sharding.shards;
-            WLANPS_REQUIRE_MSG(per_cell <= 7,
-                               "each sharded cell owns one piconet (max 7 active slaves); " +
-                                   std::to_string(per_cell) +
-                                   " clients per cell need bt_available = false or more shards");
-        }
+    const FaultSurface faults = injectable_faults(*this);
+    for (const auto& f : stream_.fault_plan.specs()) {
+        WLANPS_REQUIRE_MSG(faults.accepts(f.kind),
+                           "'" + label() + "' cannot inject '" +
+                               fault::to_string(f.kind) + "' — " + faults.hint);
     }
     switch (policy_) {
-        case Policy::cam: {
-            if (power_set_) {
-                power_.validate();
-                if (power_.kind == policy::PolicyKind::micro_nap) {
-                    const phy::NapCostTable& nap = stream_.wlan_nic.nap;
-                    WLANPS_REQUIRE_MSG(
-                        nap.sleep_latency > Time::zero() && nap.wake_latency > Time::zero(),
-                        "μNap needs positive Wnic nap transition latencies "
-                        "(stream().wlan_nic.nap) — a free transition would let the "
-                        "policy sleep through its own carrier-sense guarantee");
-                    WLANPS_REQUIRE_MSG(
-                        nap.sleep_latency + nap.wake_latency <= power_.beacon_interval,
-                        "μNap transition cost (sleep " +
-                            fmt(nap.sleep_latency.to_seconds() * 1e6) + "us + wake " +
-                            fmt(nap.wake_latency.to_seconds() * 1e6) +
-                            "us) exceeds the beacon interval (" +
-                            fmt(power_.beacon_interval.to_seconds() * 1e3) +
-                            "ms) — no idle gap could ever amortize a nap; shrink the "
-                            "Wnic nap cost table (stream().wlan_nic.nap) or raise the "
-                            "beacon interval");
-                }
-            }
-            // Per-kind fault whitelist: each power policy's world routes a
-            // different subset of the injector hooks.
-            const policy::PolicyKind pk =
-                power_set_ ? power_.kind : policy::PolicyKind::cam;
-            for (const auto& f : stream_.fault_plan.specs()) {
-                bool supported = false;
-                std::string hint;
-                switch (pk) {
-                    case policy::PolicyKind::cam:
-                        supported = f.kind == fault::FaultKind::nic_lockup ||
-                                    f.kind == fault::FaultKind::wake_stuck ||
-                                    f.kind == fault::FaultKind::blackout ||
-                                    f.kind == fault::FaultKind::corruption;
-                        hint = "cam stations route phy and link hooks only "
-                               "(nic_lockup, wake_stuck, blackout, corruption)";
-                        break;
-                    case policy::PolicyKind::psm:
-                        supported = f.kind == fault::FaultKind::beacon_loss ||
-                                    f.kind == fault::FaultKind::poll_drop ||
-                                    f.kind == fault::FaultKind::blackout ||
-                                    f.kind == fault::FaultKind::corruption;
-                        hint = "the psm adapter routes MAC and link hooks only "
-                               "(beacon_loss, poll_drop, blackout, corruption)";
-                        break;
-                    case policy::PolicyKind::ecmac:
-                        supported = false;
-                        hint = "the ec-mac adapter routes no fault hooks — drop the "
-                               "plan or pick another policy";
-                        break;
-                    case policy::PolicyKind::micro_nap:
-                        // wake_stuck stretches a nap resume past the DCF
-                        // carrier-sense guarantee when the policy naps inside
-                        // its own backoff countdown.
-                        supported = f.kind == fault::FaultKind::nic_lockup ||
-                                    f.kind == fault::FaultKind::beacon_loss ||
-                                    f.kind == fault::FaultKind::blackout ||
-                                    f.kind == fault::FaultKind::corruption ||
-                                    (f.kind == fault::FaultKind::wake_stuck &&
-                                     !power_.micro_nap.nap_on_backoff);
-                        hint = f.kind == fault::FaultKind::wake_stuck
-                                   ? "wake_stuck would stretch a backoff-nap resume "
-                                     "past the station's own DCF fire — disable "
-                                     "micro_nap.nap_on_backoff to inject it"
-                                   : "micro_nap routes phy, beacon, and link hooks "
-                                     "(nic_lockup, beacon_loss, blackout, corruption)";
-                        break;
-                    case policy::PolicyKind::pamas:
-                        supported = f.kind == fault::FaultKind::nic_lockup ||
-                                    f.kind == fault::FaultKind::wake_stuck ||
-                                    f.kind == fault::FaultKind::beacon_loss ||
-                                    f.kind == fault::FaultKind::blackout ||
-                                    f.kind == fault::FaultKind::corruption;
-                        hint = "pamas routes phy, beacon, and link hooks "
-                               "(nic_lockup, wake_stuck, beacon_loss, blackout, "
-                               "corruption)";
-                        break;
-                }
-                WLANPS_REQUIRE_MSG(supported, "'" + label() + "' cannot inject '" +
-                                                  std::string(fault::to_string(f.kind)) +
-                                                  "' — " + hint);
+        case Policy::cam:
+            if (has_power_policy() && power_.kind == policy::PolicyKind::micro_nap) {
+                const phy::NapCostTable& nap = stream_.wlan_nic.nap;
+                WLANPS_REQUIRE_MSG(
+                    nap.sleep_latency > Time::zero() && nap.wake_latency > Time::zero(),
+                    "μNap needs positive Wnic nap transition latencies "
+                    "(stream().wlan_nic.nap) — a free transition would let the "
+                    "policy sleep through its own carrier-sense guarantee");
+                WLANPS_REQUIRE_MSG(
+                    nap.sleep_latency + nap.wake_latency <= power_.beacon_interval,
+                    "μNap transition cost (sleep " +
+                        fmt(nap.sleep_latency.to_seconds() * 1e6) + "us + wake " +
+                        fmt(nap.wake_latency.to_seconds() * 1e6) +
+                        "us) exceeds the beacon interval (" +
+                        fmt(power_.beacon_interval.to_seconds() * 1e3) +
+                        "ms) — no idle gap could ever amortize a nap; shrink the "
+                        "Wnic nap cost table (stream().wlan_nic.nap) or raise the "
+                        "beacon interval");
             }
             break;
-        }
         case Policy::bt:
             break;
         case Policy::psm:
@@ -538,28 +448,21 @@ void ScenarioSpec::validate() const {
             break;
         case Policy::hotspot:
             hotspot_.validate();
+            if (hotspot_.sharding.enabled() && hotspot_.bt_available) {
+                const int per_cell =
+                    (stream_.clients + hotspot_.sharding.shards - 1) / hotspot_.sharding.shards;
+                WLANPS_REQUIRE_MSG(per_cell <= 7,
+                                   "each sharded cell owns one piconet (max 7 active slaves); " +
+                                       std::to_string(per_cell) +
+                                       " clients per cell need bt_available = false or more "
+                                       "shards");
+            }
             break;
         case Policy::hotspot_mixed:
             hotspot_.validate();
             break;
         case Policy::federation:
             fed_.validate();
-            // The federation models clients as slab records, not device
-            // objects: only the kinds with a slab-level meaning inject.
-            for (const auto& f : stream_.fault_plan.specs()) {
-                const bool supported =
-                    f.kind == fault::FaultKind::nic_lockup ||
-                    f.kind == fault::FaultKind::client_crash ||
-                    f.kind == fault::FaultKind::silent_leave ||
-                    f.kind == fault::FaultKind::delayed_registration;
-                WLANPS_REQUIRE_MSG(
-                    supported,
-                    std::string("federation cannot inject '") +
-                        fault::to_string(f.kind) +
-                        "' (slab clients expose nic-lockup, crash, "
-                        "silent-leave, and late-join only) — use a hotspot "
-                        "scenario for MAC/link-level kinds");
-            }
             break;
     }
 }

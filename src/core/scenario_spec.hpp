@@ -56,9 +56,10 @@ struct StreamConfig {
     /// sensitivity ablation sweeps these.
     phy::WlanNicConfig wlan_nic;
     phy::BtNicConfig bt_nic;
-    /// Deterministic fault schedule replayed into the run (psm and hotspot
-    /// policies).  Empty = no injector is built at all, so the run is
-    /// bit-identical to one before the fault subsystem existed.
+    /// Deterministic fault schedule replayed into the run (the kinds each
+    /// policy accepts are in injectable_faults).  Empty = no injector is
+    /// built at all, so the run is bit-identical to one before the fault
+    /// subsystem existed.
     fault::FaultPlan fault_plan;
 };
 
@@ -470,16 +471,15 @@ public:
         fed_set_ = true;
         return *this;
     }
-    /// Select a pluggable per-station power policy (src/policy): the two
-    /// event-driven policies (micro_nap, pamas) or an adapter kind that
-    /// reroutes to the matching pre-existing scenario (cam/psm/ecmac), so
-    /// one axis sweeps every policy the repo can run.  Rides the cam base
-    /// policy: ScenarioSpec::cam().with_power_policy(...).
-    ScenarioSpec& with_power_policy(policy::PowerPolicyConfig config) {
-        power_ = std::move(config);
-        power_set_ = true;
-        return *this;
-    }
+    /// Select a per-station power policy by name, so one axis sweeps every
+    /// policy the repo can run.  Rides the cam base policy:
+    /// ScenarioSpec::cam().with_power_policy(...).  The event-driven kinds
+    /// (micro_nap, pamas) drive src/policy stations; the alias kinds are
+    /// rewritten here into the native spec — cam stays Policy::cam, psm
+    /// becomes Policy::psm with a default PsmConfig at the config's
+    /// beacon_interval (unless with_psm set one), ecmac becomes
+    /// Policy::ecmac.
+    ScenarioSpec& with_power_policy(policy::PowerPolicyConfig config);
 
     // --- accessors --------------------------------------------------------
     [[nodiscard]] Policy policy() const { return policy_; }
@@ -490,7 +490,11 @@ public:
     [[nodiscard]] const HotspotConfig& hotspot_config() const { return hotspot_; }
     [[nodiscard]] const MixedWorkload& mix() const { return mix_; }
     [[nodiscard]] const FederationConfig& federation_config() const { return fed_; }
-    [[nodiscard]] bool has_power_policy() const { return power_set_; }
+    /// True when an event-driven power policy (micro_nap, pamas) drives
+    /// the stations; alias kinds have become the native policy instead.
+    [[nodiscard]] bool has_power_policy() const {
+        return power_set_ && policy_ == Policy::cam && power_.kind != policy::PolicyKind::cam;
+    }
     [[nodiscard]] const policy::PowerPolicyConfig& power_policy_config() const { return power_; }
     [[nodiscard]] int clients() const {
         return policy_ == Policy::hotspot_mixed ? mix_.total() : stream_.clients;
@@ -530,6 +534,25 @@ private:
     bool mix_set_ = false;
     bool fed_set_ = false;
     bool power_set_ = false;
+    // The first with_power_policy call found a cam base (later calls
+    // re-select on it); validate() refuses a power policy otherwise.
+    bool power_on_cam_ = false;
 };
+
+/// The fault kinds a scenario's simulated world binds an injector hook
+/// for (one bit per fault::FaultKind), and a hint naming them.
+struct FaultSurface {
+    std::uint32_t kinds = 0;
+    const char* hint = "";
+
+    [[nodiscard]] bool accepts(fault::FaultKind kind) const {
+        return ((kinds >> static_cast<unsigned>(kind)) & 1u) != 0;
+    }
+};
+
+/// The fault table: what \p spec's world injects.  Defined beside the
+/// world builders' hook binders (scenarios.cpp); validate() refuses every
+/// other kind, so a validated plan always arms.
+[[nodiscard]] FaultSurface injectable_faults(const ScenarioSpec& spec);
 
 }  // namespace wlanps::core

@@ -1,7 +1,3 @@
-// This translation unit defines the legacy shims, so it opts out of their
-// deprecation warnings.
-#define WLANPS_ALLOW_LEGACY_SCENARIOS
-
 #include "core/scenarios.hpp"
 
 #include <map>
@@ -28,6 +24,78 @@ namespace wlanps::core {
 
 namespace {
 
+using fault::FaultKind;
+
+constexpr std::uint32_t bit(FaultKind kind) { return 1u << static_cast<unsigned>(kind); }
+constexpr std::uint32_t kRadioFaults = bit(FaultKind::nic_lockup) | bit(FaultKind::wake_stuck);
+constexpr std::uint32_t kLinkFaults = bit(FaultKind::blackout) | bit(FaultKind::corruption);
+constexpr std::uint32_t kClientFaults = bit(FaultKind::client_crash) |
+                                        bit(FaultKind::silent_leave) |
+                                        bit(FaultKind::delayed_registration);
+
+}  // namespace
+
+FaultSurface injectable_faults(const ScenarioSpec& spec) {
+    switch (spec.policy()) {
+        case Policy::cam:
+            if (!spec.has_power_policy()) {
+                return {kRadioFaults | kLinkFaults,
+                        "cam stations route phy and link hooks only (nic-lockup, wake-stuck, "
+                        "blackout, corruption)"};
+            }
+            if (spec.power_policy_config().kind == policy::PolicyKind::pamas) {
+                return {kRadioFaults | bit(FaultKind::beacon_loss) | kLinkFaults,
+                        "pamas routes phy, beacon, and link hooks (nic-lockup, wake-stuck, "
+                        "beacon-loss, blackout, corruption)"};
+            }
+            if (spec.power_policy_config().micro_nap.nap_on_backoff) {
+                return {bit(FaultKind::nic_lockup) | bit(FaultKind::beacon_loss) | kLinkFaults,
+                        "micro_nap routes phy, beacon, and link hooks (nic-lockup, "
+                        "beacon-loss, blackout, corruption); wake-stuck would stretch a "
+                        "backoff-nap resume past the station's own DCF fire — disable "
+                        "micro_nap.nap_on_backoff to inject it"};
+            }
+            return {kRadioFaults | bit(FaultKind::beacon_loss) | kLinkFaults,
+                    "micro_nap routes phy, beacon, and link hooks (nic-lockup, wake-stuck, "
+                    "beacon-loss, blackout, corruption)"};
+        case Policy::psm:
+            return {kRadioFaults | bit(FaultKind::beacon_loss) | bit(FaultKind::poll_drop) |
+                        kLinkFaults,
+                    "psm stations route phy, MAC, and link hooks (nic-lockup, wake-stuck, "
+                    "beacon-loss, poll-drop, blackout, corruption)"};
+        case Policy::hotspot: {
+            // The Hotspot has no beacon/PS-Poll MAC; its radio hooks exist
+            // only with a WLAN interface, and the sharded control plane has
+            // no schedule-message path.
+            const HotspotConfig& h = spec.hotspot_config();
+            const std::uint32_t radio = h.wlan_available ? kRadioFaults : 0u;
+            if (h.sharding.enabled()) {
+                return {radio | kLinkFaults | kClientFaults,
+                        "the sharded hotspot routes WLAN radio (with wlan_available), link, "
+                        "and client hooks (nic-lockup, wake-stuck, blackout, corruption, "
+                        "crash, silent-leave, late-join) — use the single-queue hotspot "
+                        "(shards = 0) for schedule-drop"};
+            }
+            return {radio | kLinkFaults | kClientFaults | bit(FaultKind::schedule_drop),
+                    "the hotspot routes WLAN radio (with wlan_available), link, client, and "
+                    "server hooks (nic-lockup, wake-stuck, blackout, corruption, crash, "
+                    "silent-leave, late-join, schedule-drop) — it has no beacon/PS-Poll MAC"};
+        }
+        case Policy::federation:
+            return {bit(FaultKind::nic_lockup) | kClientFaults,
+                    "slab clients expose nic-lockup, crash, silent-leave, and late-join "
+                    "only — use a hotspot scenario for MAC/link-level kinds"};
+        case Policy::ecmac:
+        case Policy::bt:
+        case Policy::hotspot_mixed:
+            break;
+    }
+    return {0u, "this world binds no fault hooks — use cam, psm, micro_nap, pamas, "
+                "hotspot, or federation"};
+}
+
+namespace {
+
 traffic::PlayoutBuffer::Config mp3_playout() {
     traffic::PlayoutBuffer::Config c;
     c.frame_size = phy::calibration::kMp3FrameSize;
@@ -38,169 +106,93 @@ traffic::PlayoutBuffer::Config mp3_playout() {
     return c;
 }
 
-// make_client_metrics / record_client_obs / record_kernel_obs moved to
-// core/scenario_obs.hpp (shared with the sharded hotspot engine).
-ClientMetrics make_metrics(power::Power wnic_avg, power::Energy wnic_energy,
-                           const traffic::PlayoutBuffer& playout, DataSize received) {
-    return make_client_metrics(wnic_avg, wnic_energy, playout, received);
-}
-
-ScenarioResult sim_wlan_cam(const StreamConfig& config) {
-    WLANPS_REQUIRE(config.clients >= 1);
-    sim::Simulator sim;
-    sim::Random root(config.seed);
-    mac::Bss bss(sim);
-    mac::AccessPointConfig ap_cfg;
-    ap_cfg.mode = mac::ApMode::cam;
-    mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(100));
-
-    std::vector<std::unique_ptr<mac::WlanStation>> stations;
-    std::vector<std::unique_ptr<traffic::PlayoutBuffer>> playouts;
-    std::vector<std::unique_ptr<traffic::Mp3Source>> sources;
-
-    for (int i = 0; i < config.clients; ++i) {
-        const auto id = static_cast<mac::StationId>(i + 1);
-        mac::StationConfig st_cfg;
-        st_cfg.mode = mac::StationMode::cam;
-        auto st = std::make_unique<mac::WlanStation>(sim, bss, id, st_cfg, mac::DcfConfig{},
-                                                     config.wlan_nic, root.fork(200 + i));
-        if (obs::EnergyLedger* led = obs::current_ledger()) {
-            st->wlan_nic().attach_ledger(led, static_cast<std::uint32_t>(id));
-        }
-        bss.set_link(id, config.wlan_link, root.fork(300 + i));
-        auto playout = std::make_unique<traffic::PlayoutBuffer>(sim, mp3_playout());
-        st->set_receive_callback(
-            [p = playout.get()](DataSize size, Time) { p->on_data(size); });
-        auto src = std::make_unique<traffic::Mp3Source>(
-            sim, [&ap, id](DataSize size) { ap.send(id, size); });
-        stations.push_back(std::move(st));
-        playouts.push_back(std::move(playout));
-        sources.push_back(std::move(src));
-    }
-
-    // Fault injection: CAM has no beacon/poll dependence, so only the phy
-    // kinds (radio wedge, stuck wake) and link windows route anywhere.
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (!config.fault_plan.empty()) {
-        injector = std::make_unique<fault::FaultInjector>(sim, config.fault_plan,
-                                                          root.fork(900));
-        injector->phy().nic_lockup = [&stations](std::uint32_t target, Time until) {
-            for (std::size_t i = 0; i < stations.size(); ++i) {
-                if (target == 0 || target == i + 1) stations[i]->wlan_nic().inject_lockup(until);
-            }
-        };
-        injector->phy().wake_stuck = [&stations](std::uint32_t target, Time extra) {
-            for (std::size_t i = 0; i < stations.size(); ++i) {
-                if (target == 0 || target == i + 1) {
-                    stations[i]->wlan_nic().inject_wake_stuck(extra);
-                }
-            }
-        };
-        injector->net().fault_window = [&bss, &sim, &config](std::uint32_t client,
-                                                             fault::FaultSpec::Itf itf,
-                                                             double p, Time until) {
-            if (itf == fault::FaultSpec::Itf::bt) return;  // no BT in this scenario
-            auto apply = [&](mac::StationId id) {
-                if (auto* link = bss.link(id)) link->add_fault_window(sim.now(), until, p);
-            };
-            if (client == 0) {
-                for (int i = 0; i < config.clients; ++i) {
-                    apply(static_cast<mac::StationId>(i + 1));
-                }
-            } else {
-                apply(static_cast<mac::StationId>(client));
+/// Bind the injector hooks of a BSS world (one AP, stations 1..N with
+/// radios \p nics) for the kinds \p faults accepts: per-station radio
+/// faults, AP beacon loss and PS-Poll drops, per-station link windows.
+void bind_bss_faults(fault::FaultInjector& injector, const FaultSurface& faults,
+                     sim::Simulator& sim, mac::Bss& bss, mac::AccessPoint& ap,
+                     std::vector<phy::WlanNic*> nics, const sim::Random& root) {
+    if (faults.accepts(FaultKind::nic_lockup)) {
+        injector.phy().nic_lockup = [nics](std::uint32_t target, Time until) {
+            for (std::size_t i = 0; i < nics.size(); ++i) {
+                if (target == 0 || target == i + 1) nics[i]->inject_lockup(until);
             }
         };
     }
-
-    ap.start();
-    for (auto& st : stations) st->start(ap.config().beacon_interval, ap.config().beacon_interval);
-    for (auto& p : playouts) p->start();
-    for (auto& s : sources) s->start();
-    if (injector) injector->arm();
-    sim.run_until(config.duration);
-    for (auto& st : stations) st->wlan_nic().settle_ledger();
-
-    ScenarioResult result;
-    result.label = "wlan-cam";
-    if (injector) result.faults_injected = injector->injected_total();
-    for (int i = 0; i < config.clients; ++i) {
-        result.clients.push_back(make_metrics(stations[static_cast<std::size_t>(i)]->average_power(),
-                                              stations[static_cast<std::size_t>(i)]->energy_consumed(),
-                                              *playouts[static_cast<std::size_t>(i)],
-                                              stations[static_cast<std::size_t>(i)]->bytes_received()));
+    if (faults.accepts(FaultKind::wake_stuck)) {
+        injector.phy().wake_stuck = [nics](std::uint32_t target, Time extra) {
+            for (std::size_t i = 0; i < nics.size(); ++i) {
+                if (target == 0 || target == i + 1) nics[i]->inject_wake_stuck(extra);
+            }
+        };
     }
-    if (obs::MetricsRegistry* reg = obs::current()) {
-        for (auto& st : stations) st->wlan_nic().publish_metrics(*reg, "phy.wlan");
+    if (faults.accepts(FaultKind::beacon_loss)) {
+        injector.mac().beacon_loss = [&ap](Time until) { ap.suppress_beacons(until); };
     }
-    record_client_obs(result);
-    record_kernel_obs(sim);
-    return result;
-}
-
-ScenarioResult sim_wlan_psm(const StreamConfig& config, const PsmConfig& options) {
-    WLANPS_REQUIRE(config.clients >= 1);
-    WLANPS_REQUIRE(options.listen_interval >= 1);
-    WLANPS_REQUIRE(options.aggregate_limit >= 1);
-    sim::Simulator sim;
-    sim::Random root(config.seed);
-    mac::Bss bss(sim);
-    mac::AccessPointConfig ap_cfg;
-    ap_cfg.mode = mac::ApMode::psm;
-    ap_cfg.beacon_interval = options.beacon_interval;
-    ap_cfg.aggregate_limit = options.aggregate_limit;
-    mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(100));
-
-    std::vector<std::unique_ptr<mac::WlanStation>> stations;
-    std::vector<std::unique_ptr<traffic::PlayoutBuffer>> playouts;
-    std::vector<std::unique_ptr<traffic::Mp3Source>> sources;
-
-    for (int i = 0; i < config.clients; ++i) {
-        const auto id = static_cast<mac::StationId>(i + 1);
-        mac::StationConfig st_cfg;
-        st_cfg.mode = mac::StationMode::psm;
-        st_cfg.listen_interval = options.listen_interval;
-        auto st = std::make_unique<mac::WlanStation>(sim, bss, id, st_cfg, mac::DcfConfig{},
-                                                     config.wlan_nic, root.fork(200 + i));
-        if (obs::EnergyLedger* led = obs::current_ledger()) {
-            st->wlan_nic().attach_ledger(led, static_cast<std::uint32_t>(id));
-        }
-        bss.set_link(id, config.wlan_link, root.fork(300 + i));
-        auto playout = std::make_unique<traffic::PlayoutBuffer>(sim, mp3_playout());
-        st->set_receive_callback(
-            [p = playout.get()](DataSize size, Time) { p->on_data(size); });
-        auto src = std::make_unique<traffic::Mp3Source>(
-            sim, [&ap, id](DataSize size) { ap.send(id, size); });
-        stations.push_back(std::move(st));
-        playouts.push_back(std::move(playout));
-        sources.push_back(std::move(src));
-    }
-
-    // Fault injection: MAC faults exercise the stations' existing beacon-
-    // and poll-timeout recovery; link faults ride the per-station links.
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (!config.fault_plan.empty()) {
-        injector = std::make_unique<fault::FaultInjector>(sim, config.fault_plan,
-                                                          root.fork(900));
-        injector->mac().beacon_loss = [&ap](Time until) { ap.suppress_beacons(until); };
-        injector->mac().poll_drop = [&ap, &root](double p, Time until) {
+    if (faults.accepts(FaultKind::poll_drop)) {
+        injector.mac().poll_drop = [&ap, &root](double p, Time until) {
             ap.inject_poll_drop(p, until, root.fork(901));
         };
-        injector->net().fault_window = [&bss, &sim, &config](std::uint32_t client,
-                                                             fault::FaultSpec::Itf itf,
-                                                             double p, Time until) {
-            if (itf == fault::FaultSpec::Itf::bt) return;  // no BT in this scenario
-            auto apply = [&](mac::StationId id) {
-                if (auto* link = bss.link(id)) link->add_fault_window(sim.now(), until, p);
-            };
-            if (client == 0) {
-                for (int i = 0; i < config.clients; ++i) {
-                    apply(static_cast<mac::StationId>(i + 1));
-                }
-            } else {
-                apply(static_cast<mac::StationId>(client));
+    }
+    injector.net().fault_window = [&bss, &sim, clients = nics.size()](
+                                      std::uint32_t target, fault::FaultSpec::Itf itf,
+                                      double p, Time until) {
+        if (itf == fault::FaultSpec::Itf::bt) return;  // no BT in a BSS world
+        for (std::size_t i = 0; i < clients; ++i) {
+            if (target != 0 && target != i + 1) continue;
+            if (auto* link = bss.link(static_cast<mac::StationId>(i + 1))) {
+                link->add_fault_window(sim.now(), until, p);
             }
-        };
+        }
+    };
+}
+
+/// The 802.11 BSS: one AP streaming MP3 to every station, all awake (CAM,
+/// \p psm null) or in power-save mode (TIM beacons + PS-Polls).
+ScenarioResult sim_wlan_bss(const StreamConfig& config, const PsmConfig* psm,
+                            const FaultSurface& faults) {
+    const PsmConfig ps = psm != nullptr ? *psm : PsmConfig{};
+    sim::Simulator sim;
+    sim::Random root(config.seed);
+    mac::Bss bss(sim);
+    mac::AccessPointConfig ap_cfg;
+    ap_cfg.mode = psm != nullptr ? mac::ApMode::psm : mac::ApMode::cam;
+    ap_cfg.beacon_interval = ps.beacon_interval;
+    ap_cfg.aggregate_limit = ps.aggregate_limit;
+    mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(100));
+
+    std::vector<std::unique_ptr<mac::WlanStation>> stations;
+    std::vector<std::unique_ptr<traffic::PlayoutBuffer>> playouts;
+    std::vector<std::unique_ptr<traffic::Mp3Source>> sources;
+    std::vector<phy::WlanNic*> nics;
+
+    for (int i = 0; i < config.clients; ++i) {
+        const auto id = static_cast<mac::StationId>(i + 1);
+        mac::StationConfig st_cfg;
+        st_cfg.mode = psm != nullptr ? mac::StationMode::psm : mac::StationMode::cam;
+        st_cfg.listen_interval = ps.listen_interval;
+        auto st = std::make_unique<mac::WlanStation>(sim, bss, id, st_cfg, mac::DcfConfig{},
+                                                     config.wlan_nic, root.fork(200 + i));
+        if (obs::EnergyLedger* led = obs::current_ledger()) {
+            st->wlan_nic().attach_ledger(led, static_cast<std::uint32_t>(id));
+        }
+        bss.set_link(id, config.wlan_link, root.fork(300 + i));
+        auto playout = std::make_unique<traffic::PlayoutBuffer>(sim, mp3_playout());
+        st->set_receive_callback(
+            [p = playout.get()](DataSize size, Time) { p->on_data(size); });
+        auto src = std::make_unique<traffic::Mp3Source>(
+            sim, [&ap, id](DataSize size) { ap.send(id, size); });
+        nics.push_back(&st->wlan_nic());
+        stations.push_back(std::move(st));
+        playouts.push_back(std::move(playout));
+        sources.push_back(std::move(src));
+    }
+
+    std::unique_ptr<fault::FaultInjector> injector;
+    if (!config.fault_plan.empty()) {
+        injector = std::make_unique<fault::FaultInjector>(sim, config.fault_plan,
+                                                          root.fork(900));
+        bind_bss_faults(*injector, faults, sim, bss, ap, std::move(nics), root);
     }
 
     ap.start();
@@ -212,12 +204,13 @@ ScenarioResult sim_wlan_psm(const StreamConfig& config, const PsmConfig& options
     for (auto& st : stations) st->wlan_nic().settle_ledger();
 
     ScenarioResult result;
-    result.label = "wlan-psm";
+    result.label = psm != nullptr ? "wlan-psm" : "wlan-cam";
     if (injector) result.faults_injected = injector->injected_total();
     for (std::size_t i = 0; i < stations.size(); ++i) {
-        result.clients.push_back(make_metrics(stations[i]->average_power(),
-                                              stations[i]->energy_consumed(), *playouts[i],
-                                              stations[i]->bytes_received()));
+        result.clients.push_back(make_client_metrics(stations[i]->average_power(),
+                                                     stations[i]->energy_consumed(),
+                                                     *playouts[i],
+                                                     stations[i]->bytes_received()));
     }
     if (obs::MetricsRegistry* reg = obs::current()) {
         for (auto& st : stations) st->wlan_nic().publish_metrics(*reg, "phy.wlan");
@@ -267,9 +260,10 @@ ScenarioResult sim_ecmac(const StreamConfig& config, Time superframe) {
     ScenarioResult result;
     result.label = "ec-mac";
     for (std::size_t i = 0; i < stations.size(); ++i) {
-        result.clients.push_back(make_metrics(stations[i]->average_power(),
-                                              stations[i]->energy_consumed(), *playouts[i],
-                                              stations[i]->bytes_received()));
+        result.clients.push_back(make_client_metrics(stations[i]->average_power(),
+                                                     stations[i]->energy_consumed(),
+                                                     *playouts[i],
+                                                     stations[i]->bytes_received()));
     }
     if (obs::MetricsRegistry* reg = obs::current()) {
         for (auto& st : stations) st->wlan_nic().publish_metrics(*reg, "phy.wlan");
@@ -316,9 +310,10 @@ ScenarioResult sim_bt_active(const StreamConfig& config) {
     ScenarioResult result;
     result.label = "bt-active";
     for (std::size_t i = 0; i < slaves.size(); ++i) {
-        result.clients.push_back(make_metrics(slaves[i]->average_power(),
-                                              slaves[i]->energy_consumed(), *playouts[i],
-                                              slaves[i]->bytes_received()));
+        result.clients.push_back(make_client_metrics(slaves[i]->average_power(),
+                                                     slaves[i]->energy_consumed(),
+                                                     *playouts[i],
+                                                     slaves[i]->bytes_received()));
     }
     if (obs::MetricsRegistry* reg = obs::current()) {
         for (auto& s : slaves) s->nic().publish_metrics(*reg, "phy.bt");
@@ -541,8 +536,9 @@ ScenarioResult sim_hotspot(const StreamConfig& config, const HotspotConfig& opti
     ScenarioResult result;
     result.label = "hotspot-" + options.scheduler;
     for (auto& c : clients) {
-        result.clients.push_back(make_metrics(c->wnic_average_power(), c->wnic_energy(),
-                                              c->playout(), c->bytes_received()));
+        result.clients.push_back(make_client_metrics(c->wnic_average_power(),
+                                                     c->wnic_energy(), c->playout(),
+                                                     c->bytes_received()));
     }
     result.recovery = server.recovery_report();
     for (auto& a : agents) {
@@ -685,9 +681,10 @@ ScenarioResult sim_hotspot_mixed(const StreamConfig& config, const HotspotConfig
     result.label = "hotspot-mixed-" + options.scheduler;
     std::size_t source_index = 0;
     for (std::size_t i = 0; i < clients.size(); ++i) {
-        ClientMetrics m = make_metrics(clients[i]->wnic_average_power(),
-                                       clients[i]->wnic_energy(), clients[i]->playout(),
-                                       clients[i]->bytes_received());
+        ClientMetrics m = make_client_metrics(clients[i]->wnic_average_power(),
+                                              clients[i]->wnic_energy(),
+                                              clients[i]->playout(),
+                                              clients[i]->bytes_received());
         if (kinds[i] != Kind::mp3) {
             // Live-ingest clients: relate delivery to generation.
             const traffic::Source& src = *sources[source_index++];
@@ -712,11 +709,10 @@ ScenarioResult sim_hotspot_mixed(const StreamConfig& config, const HotspotConfig
 }
 
 /// Event-driven power policies (micro_nap, pamas): one PolicyBssWorld on a
-/// single-queue Simulator, with the same fault-injector surface as the psm
-/// scenario plus the phy hooks (μNap interacts with radio wedges directly).
+/// single-queue Simulator, with the BSS fault hooks.
 ScenarioResult sim_policy_bss(const StreamConfig& config,
-                              const policy::PowerPolicyConfig& power) {
-    WLANPS_REQUIRE(config.clients >= 1);
+                              const policy::PowerPolicyConfig& power,
+                              const FaultSurface& faults) {
     sim::Simulator sim;
     sim::Random root(config.seed);  // world forks 100/200+i/300+i; injector 900
 
@@ -733,40 +729,9 @@ ScenarioResult sim_policy_bss(const StreamConfig& config,
     if (!config.fault_plan.empty()) {
         injector = std::make_unique<fault::FaultInjector>(sim, config.fault_plan,
                                                           root.fork(900));
-        injector->mac().beacon_loss = [&world](Time until) {
-            world.ap().suppress_beacons(until);
-        };
-        injector->phy().nic_lockup = [&world, &config](std::uint32_t target, Time until) {
-            for (int i = 0; i < config.clients; ++i) {
-                if (target == 0 || target == static_cast<std::uint32_t>(i + 1)) {
-                    world.station(i).wlan_nic().inject_lockup(until);
-                }
-            }
-        };
-        injector->phy().wake_stuck = [&world, &config](std::uint32_t target, Time extra) {
-            for (int i = 0; i < config.clients; ++i) {
-                if (target == 0 || target == static_cast<std::uint32_t>(i + 1)) {
-                    world.station(i).wlan_nic().inject_wake_stuck(extra);
-                }
-            }
-        };
-        injector->net().fault_window = [&world, &sim, &config](std::uint32_t client,
-                                                               fault::FaultSpec::Itf itf,
-                                                               double p, Time until) {
-            if (itf == fault::FaultSpec::Itf::bt) return;  // no BT in this scenario
-            auto apply = [&](mac::StationId id) {
-                if (auto* link = world.bss().link(id)) {
-                    link->add_fault_window(sim.now(), until, p);
-                }
-            };
-            if (client == 0) {
-                for (int i = 0; i < config.clients; ++i) {
-                    apply(static_cast<mac::StationId>(i + 1));
-                }
-            } else {
-                apply(static_cast<mac::StationId>(client));
-            }
-        };
+        std::vector<phy::WlanNic*> nics;
+        for (int i = 0; i < config.clients; ++i) nics.push_back(&world.station(i).wlan_nic());
+        bind_bss_faults(*injector, faults, sim, world.bss(), world.ap(), std::move(nics), root);
     }
 
     world.start();
@@ -779,8 +744,9 @@ ScenarioResult sim_policy_bss(const StreamConfig& config,
     if (injector) result.faults_injected = injector->injected_total();
     for (int i = 0; i < config.clients; ++i) {
         policy::PolicyStation& st = world.station(i);
-        result.clients.push_back(make_metrics(st.average_power(), st.energy_consumed(),
-                                              world.playout(i), st.bytes_received()));
+        result.clients.push_back(make_client_metrics(st.average_power(),
+                                                     st.energy_consumed(),
+                                                     world.playout(i), st.bytes_received()));
     }
     if (obs::MetricsRegistry* reg = obs::current()) {
         for (int i = 0; i < config.clients; ++i) {
@@ -797,32 +763,14 @@ ScenarioResult sim_policy_bss(const StreamConfig& config,
 ScenarioResult SimBackend::do_run(const ScenarioSpec& spec, std::uint64_t seed) const {
     StreamConfig config = spec.stream();
     config.seed = seed;
-    if (spec.policy() == Policy::cam && spec.has_power_policy()) {
-        // Pluggable power policies: the adapter kinds reroute to the
-        // matching pre-existing scenario so one spec axis sweeps them all;
-        // the event-driven kinds build a PolicyBssWorld.
-        const policy::PowerPolicyConfig& power = spec.power_policy_config();
-        switch (power.kind) {
-            case policy::PolicyKind::cam:
-                return sim_wlan_cam(config);
-            case policy::PolicyKind::psm: {
-                PsmConfig psm;
-                psm.listen_interval = power.psm_listen_interval;
-                psm.aggregate_limit = power.psm_aggregate_limit;
-                psm.beacon_interval = power.beacon_interval;
-                return sim_wlan_psm(config, psm);
-            }
-            case policy::PolicyKind::ecmac:
-                return sim_ecmac(config, power.ecmac_superframe);
-            case policy::PolicyKind::micro_nap:
-            case policy::PolicyKind::pamas:
-                return sim_policy_bss(config, power);
-        }
-        WLANPS_REQUIRE_MSG(false, "bad power-policy kind");
-    }
+    const FaultSurface faults = injectable_faults(spec);
     switch (spec.policy()) {
-        case Policy::cam: return sim_wlan_cam(config);
-        case Policy::psm: return sim_wlan_psm(config, spec.psm_config());
+        case Policy::cam:
+            if (spec.has_power_policy()) {
+                return sim_policy_bss(config, spec.power_policy_config(), faults);
+            }
+            return sim_wlan_bss(config, nullptr, faults);
+        case Policy::psm: return sim_wlan_bss(config, &spec.psm_config(), faults);
         case Policy::ecmac: return sim_ecmac(config, spec.ecmac_config().superframe);
         case Policy::bt: return sim_bt_active(config);
         case Policy::hotspot:
@@ -842,76 +790,6 @@ ScenarioResult SimBackend::do_run(const ScenarioSpec& spec, std::uint64_t seed) 
 }  // namespace wlanps::core
 
 namespace wlanps::core::scenarios {
-
-ScenarioResult run_wlan_cam(const StreamConfig& config) {
-    return SimBackend{}.run(ScenarioSpec::cam().with_stream(config), config.seed);
-}
-
-ScenarioResult run_wlan_psm(const StreamConfig& config, PsmOptions options) {
-    return SimBackend{}.run(ScenarioSpec::psm().with_stream(config).with_psm(options),
-                            config.seed);
-}
-
-ScenarioResult run_ecmac(const StreamConfig& config, Time superframe) {
-    return SimBackend{}.run(ScenarioSpec::ecmac().with_stream(config).with_superframe(superframe),
-                            config.seed);
-}
-
-ScenarioResult run_bt_active(const StreamConfig& config) {
-    return SimBackend{}.run(ScenarioSpec::bt().with_stream(config), config.seed);
-}
-
-ScenarioResult run_hotspot(const StreamConfig& config, HotspotOptions options) {
-    return SimBackend{}.run(
-        ScenarioSpec::hotspot().with_stream(config).with_hotspot(std::move(options)),
-        config.seed);
-}
-
-ScenarioResult run_hotspot_mixed(const StreamConfig& config, HotspotOptions options,
-                                 MixedWorkload mix) {
-    return SimBackend{}.run(ScenarioSpec::hotspot_mixed()
-                                .with_stream(config)
-                                .with_hotspot(std::move(options))
-                                .with_mix(mix),
-                            config.seed);
-}
-
-ScenarioFactory spec_factory(ScenarioSpec spec, std::shared_ptr<const Backend> backend) {
-    if (!backend) backend = std::make_shared<SimBackend>();
-    return [spec = std::move(spec), backend = std::move(backend)](std::uint64_t seed) {
-        return backend->run(spec, seed);
-    };
-}
-
-ScenarioFactory wlan_cam_factory(StreamConfig config) {
-    return spec_factory(ScenarioSpec::cam().with_stream(std::move(config)));
-}
-
-ScenarioFactory wlan_psm_factory(StreamConfig config, core::PsmConfig options) {
-    return spec_factory(ScenarioSpec::psm().with_stream(std::move(config)).with_psm(options));
-}
-
-ScenarioFactory ecmac_factory(StreamConfig config, Time superframe) {
-    return spec_factory(
-        ScenarioSpec::ecmac().with_stream(std::move(config)).with_superframe(superframe));
-}
-
-ScenarioFactory bt_active_factory(StreamConfig config) {
-    return spec_factory(ScenarioSpec::bt().with_stream(std::move(config)));
-}
-
-ScenarioFactory hotspot_factory(StreamConfig config, core::HotspotConfig options) {
-    return spec_factory(
-        ScenarioSpec::hotspot().with_stream(std::move(config)).with_hotspot(std::move(options)));
-}
-
-ScenarioFactory hotspot_mixed_factory(StreamConfig config, core::HotspotConfig options,
-                                      MixedWorkload mix) {
-    return spec_factory(ScenarioSpec::hotspot_mixed()
-                            .with_stream(std::move(config))
-                            .with_hotspot(std::move(options))
-                            .with_mix(mix));
-}
 
 exp::Metrics to_metrics(const ScenarioResult& result) {
     exp::Metrics metrics;

@@ -1,19 +1,13 @@
 #pragma once
 /// \file scenarios.hpp
-/// Scenario entry points and experiment-runner integration.
+/// Experiment-runner integration for scenarios.
 ///
 /// The scenario description itself lives in core/scenario_spec.hpp
 /// (ScenarioSpec) and execution engines in core/backend.hpp (SimBackend)
-/// and analytic/backend.hpp (AnalyticBackend).  This header keeps:
-///   * the legacy free-function entry points (run_wlan_cam, ...) as thin
-///     deprecated shims over Backend::run(ScenarioSpec) — define
-///     WLANPS_ALLOW_LEGACY_SCENARIOS before including to silence the
-///     deprecation during migration;
-///   * the exp::ExperimentRunner integration (factories, to_metrics,
-///     spec_grid_run, fault_grid_run).
+/// and analytic/backend.hpp (AnalyticBackend).  This header binds them to
+/// the exp::ExperimentRunner: to_metrics, spec_grid_run, fault_grid_run.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,77 +19,13 @@
 #include "exp/experiment.hpp"
 #include "fault/fault.hpp"
 
-#if defined(WLANPS_ALLOW_LEGACY_SCENARIOS)
-#define WLANPS_LEGACY_SCENARIO
-#else
-#define WLANPS_LEGACY_SCENARIO [[deprecated("use Backend::run(ScenarioSpec)")]]
-#endif
-
 namespace wlanps::core::scenarios {
 
-// The scenario vocabulary moved to wlanps::core (scenario_spec.hpp);
-// re-export here so historical scenarios::X spellings keep working.
-using core::ClientMetrics;
-using core::MixedWorkload;
-using core::Policy;
-using core::ScenarioResult;
-using core::ScenarioSpec;
-using core::StreamConfig;
-
-/// Deprecated spellings of the policy sub-configs (the option-struct
-/// sprawl this API replaced).  Field-compatible with the originals.
-using PsmOptions = core::PsmConfig;
-using HotspotOptions = core::HotspotConfig;
-
-/// WLAN baseline, no power management: stations constantly awake.
-WLANPS_LEGACY_SCENARIO [[nodiscard]] ScenarioResult run_wlan_cam(const StreamConfig& config);
-
-/// Standard 802.11 PSM: TIM beacons + PS-Polls.
-WLANPS_LEGACY_SCENARIO [[nodiscard]] ScenarioResult run_wlan_psm(const StreamConfig& config,
-                                                                 PsmOptions options = {});
-
-/// EC-MAC: centrally broadcast schedule, collision-free slots.
-WLANPS_LEGACY_SCENARIO [[nodiscard]] ScenarioResult run_ecmac(
-    const StreamConfig& config, Time superframe = Time::from_ms(100));
-
-/// Bluetooth baseline, no scheduling: slaves active for the whole session,
-/// frames forwarded as they are generated.
-WLANPS_LEGACY_SCENARIO [[nodiscard]] ScenarioResult run_bt_active(const StreamConfig& config);
-
-/// The paper's system: server resource manager + client resource managers.
-WLANPS_LEGACY_SCENARIO [[nodiscard]] ScenarioResult run_hotspot(const StreamConfig& config,
-                                                                HotspotOptions options);
-
-/// Mixed heterogeneous workload through one Hotspot.
-WLANPS_LEGACY_SCENARIO [[nodiscard]] ScenarioResult run_hotspot_mixed(
-    const StreamConfig& config, HotspotOptions options, MixedWorkload mix);
-
-// --- Experiment-runner integration ------------------------------------
-// A scenario bound to its configuration, awaiting only a seed: the unit
-// of work an exp::ExperimentRunner executes.  Each invocation builds a
-// fresh world (own Simulator, own Random), so a factory may be called
-// from several worker threads at once — provided any callbacks inside
-// the captured HotspotConfig (on_start / inspect / contract_tweak) are
-// themselves safe to run concurrently.
-
-using ScenarioFactory = std::function<ScenarioResult(std::uint64_t seed)>;
-
-/// Bind \p spec to \p backend (SimBackend when null): the general form
-/// every policy-specific factory below reduces to.
-[[nodiscard]] ScenarioFactory spec_factory(ScenarioSpec spec,
-                                           std::shared_ptr<const Backend> backend = nullptr);
-
-[[nodiscard]] ScenarioFactory wlan_cam_factory(StreamConfig config);
-[[nodiscard]] ScenarioFactory wlan_psm_factory(StreamConfig config,
-                                               core::PsmConfig options = {});
-[[nodiscard]] ScenarioFactory ecmac_factory(StreamConfig config,
-                                            Time superframe = Time::from_ms(100));
-[[nodiscard]] ScenarioFactory bt_active_factory(StreamConfig config);
-[[nodiscard]] ScenarioFactory hotspot_factory(StreamConfig config,
-                                              core::HotspotConfig options = {});
-[[nodiscard]] ScenarioFactory hotspot_mixed_factory(StreamConfig config,
-                                                    core::HotspotConfig options,
-                                                    MixedWorkload mix);
+// Every run function below builds a fresh world per invocation (own
+// Simulator, own Random), so the runner may call it from several worker
+// threads at once — provided any callbacks inside a captured HotspotConfig
+// (on_start / inspect / contract_tweak) are themselves safe to run
+// concurrently.
 
 /// Flatten a ScenarioResult into experiment metrics: the scenario-level
 /// aggregates ("wnic_w", "device_w", "qos_min") followed by per-client

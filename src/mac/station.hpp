@@ -116,4 +116,19 @@ private:
     sim::Accumulator latency_;
 };
 
+/// Saturated DCF uplink: start() sends \p size upstream, and every
+/// completion before \p until sends again.  Each send carries a copy of
+/// this callable as its completion, so nothing is shared between sends.
+struct SaturatedUplink {
+    WlanStation* station;
+    const sim::Simulator* sim;
+    DataSize size;
+    Time until;
+
+    void start() const { station->send_up(size, *this); }
+    void operator()(bool /*delivered*/) const {
+        if (sim->now() < until) station->send_up(size, *this);
+    }
+};
+
 }  // namespace wlanps::mac

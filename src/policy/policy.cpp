@@ -41,41 +41,18 @@ void PowerPolicyConfig::validate() const {
         WLANPS_REQUIRE_MSG(uplink_size > DataSize::from_bytes(0),
                            "uplink_size must be positive when uplink is enabled");
     }
-    switch (kind) {
-        case PolicyKind::psm:
-            WLANPS_REQUIRE_MSG(psm_listen_interval >= 1,
-                               "psm_listen_interval must be >= 1");
-            WLANPS_REQUIRE_MSG(psm_aggregate_limit >= 1,
-                               "psm_aggregate_limit must be >= 1");
-            break;
-        case PolicyKind::ecmac:
-            WLANPS_REQUIRE_MSG(ecmac_superframe > Time::zero(),
-                               "ecmac_superframe must be positive");
-            break;
-        case PolicyKind::micro_nap:
-            WLANPS_REQUIRE_MSG(micro_nap.guard >= Time::zero(),
-                               "μNap guard must be >= 0");
-            break;
-        case PolicyKind::pamas:
-            pamas.validate();
-            break;
-        case PolicyKind::cam:
-            break;
+    if (kind == PolicyKind::micro_nap) {
+        WLANPS_REQUIRE_MSG(micro_nap.guard >= Time::zero(), "μNap guard must be >= 0");
     }
+    if (kind == PolicyKind::pamas) pamas.validate();
 }
 
 std::unique_ptr<PowerPolicy> make_power_policy(const PowerPolicyConfig& config) {
-    switch (config.kind) {
-        case PolicyKind::micro_nap:
-            return std::make_unique<MicroNapPolicy>(config.micro_nap);
-        case PolicyKind::pamas:
-            return std::make_unique<PamasPolicy>(config.pamas);
-        case PolicyKind::cam:
-        case PolicyKind::psm:
-        case PolicyKind::ecmac:
-            return nullptr;  // adapter kinds run the pre-existing builders
-    }
-    return nullptr;
+    if (config.kind == PolicyKind::pamas) return std::make_unique<PamasPolicy>(config.pamas);
+    WLANPS_REQUIRE_MSG(config.kind == PolicyKind::micro_nap,
+                       std::string("'") + to_string(config.kind) +
+                           "' is a ScenarioSpec alias with no policy object");
+    return std::make_unique<MicroNapPolicy>(config.micro_nap);
 }
 
 }  // namespace wlanps::policy

@@ -3,9 +3,10 @@
 /// Power-policy selection: the config every scenario carries to pick and
 /// parameterize a power-saving policy (core::ScenarioSpec::with_power_policy).
 ///
-/// Five kinds are selectable: the two new policies (micro_nap, pamas) and
-/// three adapters wrapping the pre-existing behaviors (cam, psm, ecmac) so
-/// a single `--policy=<name>` axis sweeps everything the repo can do.
+/// Five kinds are selectable, so a single `--policy=<name>` axis sweeps
+/// everything the repo can do: the two event-driven policies (micro_nap,
+/// pamas) and three aliases for the core policies (cam, psm, ecmac), which
+/// with_power_policy rewrites into the native ScenarioSpec.
 
 #include <memory>
 #include <string>
@@ -36,15 +37,10 @@ struct PowerPolicyConfig {
     MicroNapConfig micro_nap;
     PamasPolicyConfig pamas;
 
-    /// AP beacon interval of the policy world (also the psm adapter's).
+    /// AP beacon interval of the policy world (also the psm alias's).
     Time beacon_interval = phy::calibration::kWlanBeaconInterval;
 
-    // --- adapter knobs (kind == psm / ecmac) ---------------------------
-    int psm_listen_interval = 1;
-    int psm_aggregate_limit = 1;
-    Time ecmac_superframe = Time::from_ms(100);
-
-    // --- optional uplink workload --------------------------------------
+    // --- optional uplink workload (micro_nap / pamas) -------------------
     /// When positive, each station also sends a small uplink frame every
     /// period — this exercises the DCF backoff path (and μNap's backoff
     /// naps) on otherwise downlink-only streaming scenarios.
@@ -70,18 +66,12 @@ struct PowerPolicyConfig {
         pamas = std::move(c);
         return *this;
     }
-    PowerPolicyConfig& with_psm(int listen_interval, int aggregate_limit) {
-        psm_listen_interval = listen_interval;
-        psm_aggregate_limit = aggregate_limit;
-        return *this;
-    }
 
     void validate() const;
 };
 
-/// Instantiate the policy object for \p config.  Only the event-driven
-/// kinds (micro_nap, pamas) have policy objects; the adapter kinds run
-/// through the pre-existing scenario builders and return nullptr here.
+/// Instantiate the policy object for an event-driven kind (micro_nap or
+/// pamas); the alias kinds have none.
 [[nodiscard]] std::unique_ptr<PowerPolicy> make_power_policy(const PowerPolicyConfig& config);
 
 }  // namespace wlanps::policy

@@ -39,10 +39,6 @@ PolicyBssWorld::PolicyBssWorld(sim::Simulator& sim, PolicyWorldConfig config,
           }(),
           mac::DcfConfig{}, ap_rng(config_.seed)) {
     WLANPS_REQUIRE(config_.clients >= 1);
-    WLANPS_REQUIRE_MSG(config_.policy.kind == PolicyKind::micro_nap ||
-                           config_.policy.kind == PolicyKind::pamas,
-                       "PolicyBssWorld runs the event-driven policies; adapter kinds "
-                       "(cam/psm/ecmac) use their pre-existing scenario builders");
     config_.policy.validate();
 
     sim::Random root(config_.seed);

@@ -312,7 +312,7 @@ TEST(AnalyticBackendTest, AdapterPowerPoliciesMapOntoClosedForms) {
         ASSERT_EQ(result.clients.size(), 2u);
         EXPECT_GT(result.clients.front().wnic_average.watts(), 0.0);
     }
-    // The psm adapter's closed form must agree with the native psm spec.
+    // The psm alias's closed form must agree with the native psm spec.
     const auto native = analytic.run(core::ScenarioSpec::psm().with_stream(stream(2, 60)));
     const auto adapted = analytic.run(
         core::ScenarioSpec::cam().with_stream(stream(2, 60)).with_power_policy(

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "core/scenarios.hpp"
@@ -107,15 +108,14 @@ TEST(ExperimentRunnerTest, ParallelIsBitIdenticalToSerial_Synthetic) {
 TEST(ExperimentRunnerTest, ParallelIsBitIdenticalToSerial_FullScenario) {
     // Real worlds: every run owns its Simulator and Random, so four worker
     // threads must reproduce the single-thread doubles exactly.
-    sc::StreamConfig config;
+    core::StreamConfig config;
     config.clients = 1;
     config.duration = Time::from_seconds(3);
     const auto spec =
         exp::ExperimentSpec{}
-            .with_run([config](const exp::ParamPoint& point, std::uint64_t seed) {
-                return point.index == 0 ? sc::to_metrics(sc::hotspot_factory(config)(seed))
-                                        : sc::to_metrics(sc::wlan_psm_factory(config)(seed));
-            })
+            .with_run(sc::spec_grid_run(std::make_shared<core::SimBackend>(),
+                                        {core::ScenarioSpec::hotspot().with_stream(config),
+                                         core::ScenarioSpec::psm().with_stream(config)}))
             .with_points({"hotspot", "psm"})
             .with_seed_range(42, 2);
 

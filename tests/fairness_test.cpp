@@ -29,25 +29,20 @@ TEST(FairnessTest, SaturatedDcfSharesAirtimeEvenly) {
 
     const int n = 4;
     std::vector<std::unique_ptr<WlanStation>> stations;
-    std::vector<std::int64_t> delivered(n, 0);
     for (int i = 0; i < n; ++i) {
         StationConfig st;
         st.mode = StationMode::cam;
         stations.push_back(std::make_unique<WlanStation>(
             sim, bss, static_cast<StationId>(i + 1), st, DcfConfig{}, phy::WlanNicConfig{},
             root.fork(static_cast<std::uint64_t>(10 + i))));
-        auto* station = stations.back().get();
-        auto again = std::make_shared<std::function<void(bool)>>();
-        *again = [station, &sim, &delivered, i, again](bool ok) {
-            if (ok) delivered[static_cast<std::size_t>(i)] += 1400;
-            if (sim.now() < Time::from_seconds(10)) {
-                station->send_up(DataSize::from_bytes(1400), *again);
-            }
-        };
-        station->send_up(DataSize::from_bytes(1400), *again);
+        SaturatedUplink{stations.back().get(), &sim, DataSize::from_bytes(1400),
+                        Time::from_seconds(10)}
+            .start();
     }
     sim.run_until(Time::from_seconds(10));
 
+    std::vector<std::int64_t> delivered;
+    for (const auto& st : stations) delivered.push_back(st->bytes_sent().bytes());
     std::int64_t total = 0, min_share = delivered[0], max_share = delivered[0];
     for (const auto d : delivered) {
         total += d;

@@ -1,11 +1,14 @@
 /// Fault-injection subsystem tests: plan parsing/validation, injector
-/// scheduling and hook dispatch, the per-layer fault surfaces, and the
+/// scheduling and hook dispatch, the per-layer fault surfaces, the
 /// scenario-level recovery machinery (liveness reclaim, burst repair,
-/// proxy degradation with recovery hysteresis).
+/// proxy degradation with recovery hysteresis), and the fault table that
+/// keeps validate() and the world builders' hooks in step.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/link.hpp"
@@ -391,6 +394,67 @@ TEST(FaultScenarioTest, ProxyDegradesAndRecoversWithDwell) {
     // Outage lasted 10 s and the re-enable waited out the dwell on top.
     EXPECT_GE(report.recover_times_s.front(),
               10.0 + options.proxy_config.recovery_dwell.to_seconds() - 1.5);
+}
+
+// ---- The fault table: validated => runs -------------------------------------------
+
+TEST(FaultTableTest, ValidateAcceptsExactlyWhatEachWorldRuns) {
+    // Every scenario spelling x every fault kind on a short run: a plan
+    // that passes validate() must arm and run, and a refused one must not
+    // reach the world (Backend::run validates first).
+    using policy::PolicyKind;
+    using policy::PowerPolicyConfig;
+    const auto on_cam = [](PolicyKind kind) {
+        return core::ScenarioSpec::cam().with_power_policy(PowerPolicyConfig::of(kind));
+    };
+    const std::vector<std::pair<const char*, core::ScenarioSpec>> spellings = {
+        {"cam", core::ScenarioSpec::cam()},
+        {"psm", core::ScenarioSpec::psm()},
+        {"cam alias", on_cam(PolicyKind::cam)},
+        {"psm alias", on_cam(PolicyKind::psm)},
+        {"ecmac alias", on_cam(PolicyKind::ecmac)},
+        {"micro_nap", on_cam(PolicyKind::micro_nap)},
+        {"pamas", on_cam(PolicyKind::pamas)},
+        {"ecmac", core::ScenarioSpec::ecmac()},
+        {"hotspot", core::ScenarioSpec::hotspot()},
+        {"bt-only hotspot", core::ScenarioSpec::hotspot().with_hotspot(
+                                core::HotspotConfig{}.with_wlan_available(false))},
+        {"hotspot_mixed", core::ScenarioSpec::hotspot_mixed().with_mix(
+                              core::MixedWorkload{}.with_mp3(1).with_video(1).with_web(0))},
+    };
+    fault::FaultPlan one_of_each[10];
+    one_of_each[0].nic_lockup(1_s, 1_s);
+    one_of_each[1].wake_stuck(1_s, 5_ms);
+    one_of_each[2].beacon_loss(1_s, 1_s);
+    one_of_each[3].poll_drop(1_s, 1_s, 0.5);
+    one_of_each[4].blackout(1_s, 1_s);
+    one_of_each[5].corruption(1_s, 1_s, 0.3);
+    one_of_each[6].client_crash(1_s, 1_s, 1);
+    one_of_each[7].silent_leave(1_s, 1);
+    one_of_each[8].delayed_registration(1_s, 1);
+    one_of_each[9].schedule_drop(1_s, 1_s, 0.5);
+
+    for (const auto& [name, base] : spellings) {
+        for (const fault::FaultPlan& plan : one_of_each) {
+            auto spec = base;
+            spec.with_clients(2).with_duration(5_s).with_fault_plan(plan);
+            bool valid = true;
+            try {
+                spec.validate();
+            } catch (const ContractViolation&) {
+                valid = false;
+            }
+            bool ran = true;
+            std::string error;
+            try {
+                (void)backend.run(spec, 42);
+            } catch (const ContractViolation& e) {
+                ran = false;
+                error = e.what();
+            }
+            EXPECT_EQ(valid, ran) << name << " x " << plan.str() << ": " << error;
+        }
+    }
 }
 
 }  // namespace

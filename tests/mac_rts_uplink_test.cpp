@@ -66,14 +66,8 @@ TEST(UplinkTest, ContentionAmongUplinkersCausesCollisions) {
     UplinkWorld w(4, DcfConfig{});
     // Everyone saturates: re-send on completion for a while.
     for (auto& st : w.stations) {
-        auto* station = st.get();
-        auto again = std::make_shared<std::function<void(bool)>>();
-        *again = [station, &w, again](bool) {
-            if (w.sim.now() < Time::from_seconds(2)) {
-                station->send_up(DataSize::from_bytes(1400), *again);
-            }
-        };
-        station->send_up(DataSize::from_bytes(1400), *again);
+        SaturatedUplink{st.get(), &w.sim, DataSize::from_bytes(1400), Time::from_seconds(2)}
+            .start();
     }
     w.sim.run_until(Time::from_seconds(2));
     EXPECT_GT(w.bss.medium().collisions(), 0u);
@@ -132,14 +126,9 @@ TEST(RtsCtsTest, ReducesCollisionAirtimeUnderContention) {
         dcf.rts_threshold = DataSize::from_bytes(500);
         UplinkWorld w(4, dcf);
         for (auto& st : w.stations) {
-            auto* station = st.get();
-            auto again = std::make_shared<std::function<void(bool)>>();
-            *again = [station, &w, again](bool) {
-                if (w.sim.now() < Time::from_seconds(3)) {
-                    station->send_up(DataSize::from_bytes(1400), *again);
-                }
-            };
-            station->send_up(DataSize::from_bytes(1400), *again);
+            SaturatedUplink{st.get(), &w.sim, DataSize::from_bytes(1400),
+                            Time::from_seconds(3)}
+                .start();
         }
         w.sim.run_until(Time::from_seconds(3));
         struct Out {

@@ -1,7 +1,8 @@
 /// Tests for the pluggable power-policy subsystem (src/policy): policy
 /// selection/parsing, μNap break-even math and nav_sleep reallocation,
-/// PAMAS battery-driven stretching, adapter equivalence with the native
-/// scenarios, per-policy fault whitelists, and exact ledger attribution.
+/// PAMAS battery-driven stretching and the PAMAS station against a
+/// buffering AP, alias kinds rewritten into the native scenarios,
+/// per-policy fault whitelists, and exact ledger attribution.
 
 #include <gtest/gtest.h>
 
@@ -11,15 +12,19 @@
 #include "core/backend.hpp"
 #include "core/scenario_spec.hpp"
 #include "fault/fault.hpp"
+#include "mac/access_point.hpp"
+#include "mac/bss.hpp"
 #include "obs/energy_ledger.hpp"
 #include "phy/calibration.hpp"
 #include "phy/wlan_nic.hpp"
 #include "policy/micro_nap.hpp"
 #include "policy/pamas_policy.hpp"
 #include "policy/policy.hpp"
+#include "policy/station.hpp"
 #include "policy/world.hpp"
 #include "sim/assert.hpp"
 #include "sim/simulator.hpp"
+#include "traffic/source.hpp"
 
 namespace wlanps {
 namespace {
@@ -257,7 +262,138 @@ TEST(PamasTest, WorldDrainsBatteryWhileDutyCycling) {
     EXPECT_LT(station.average_power().watts(), cal::kWlanIdle.watts());
 }
 
-// --- adapters match the native scenarios --------------------------------
+// --- PAMAS station against a buffering AP -------------------------------
+
+mac::AccessPointConfig ap_config(mac::ApMode mode) {
+    mac::AccessPointConfig c;
+    c.mode = mode;
+    return c;
+}
+
+/// One PolicyStation driven by PamasPolicy, with a \p capacity pack and no
+/// rate-capacity effect, against a PSM-mode (buffering) AP.
+struct PamasBssWorld {
+    sim::Simulator sim;
+    sim::Random root{5};
+    mac::Bss bss{sim};
+    mac::AccessPoint ap{sim, bss, ap_config(mac::ApMode::psm), mac::DcfConfig{}, root.fork(1)};
+    policy::PowerPolicyConfig config;
+    policy::PamasPolicy pamas;
+    policy::PolicyStation station;
+
+    explicit PamasBssWorld(power::Energy capacity = power::Energy::from_joules(200.0))
+        : config([capacity] {
+              auto c = policy::PowerPolicyConfig::of(policy::PolicyKind::pamas);
+              c.pamas.battery.capacity = capacity;
+              c.pamas.battery.rate_exponent = 0.0;
+              return c;
+          }()),
+          pamas(config.pamas),
+          station(sim, bss, ap, 1, pamas, config, mac::DcfConfig{}, phy::WlanNicConfig{},
+                  root.fork(2)) {
+        ap.start();
+        station.start();
+    }
+
+    /// Poisson downlink of \p frame bytes at \p rate, on its own fork.
+    traffic::PoissonSource downlink(DataSize frame, Rate rate, std::uint64_t fork) {
+        return traffic::PoissonSource(sim, [this](DataSize s) { ap.send(1, s); }, frame, rate,
+                                      root.fork(fork));
+    }
+};
+
+TEST(PamasPolicyStationTest, RequiresBufferingAp) {
+    sim::Simulator sim;
+    sim::Random root(5);
+    mac::Bss bss(sim);
+    mac::AccessPoint ap(sim, bss, ap_config(mac::ApMode::cam), mac::DcfConfig{}, root.fork(1));
+    const auto config = policy::PowerPolicyConfig::of(policy::PolicyKind::pamas);
+    policy::PamasPolicy pamas(config.pamas);
+    EXPECT_THROW(policy::PolicyStation(sim, bss, ap, 1, pamas, config, mac::DcfConfig{},
+                                       phy::WlanNicConfig{}, root.fork(2)),
+                 ContractViolation);
+}
+
+TEST(PamasPolicyStationTest, ReceivesBufferedTraffic) {
+    PamasBssWorld w;
+    DataSize sent;
+    traffic::PoissonSource src(
+        w.sim,
+        [&](DataSize s) {
+            sent += s;
+            w.ap.send(1, s);
+        },
+        DataSize::from_bytes(1000), Rate::from_kbps(64), w.root.fork(3));
+    src.start();
+    w.sim.run_until(Time::from_seconds(30));
+    src.stop();
+    w.sim.run_until(Time::from_seconds(32));
+    EXPECT_GT(sent.bytes(), 0);
+    // Nearly all bytes arrive (buffered, then flushed on wake; the flush
+    // aggregates several MSDUs per MPDU, so compare bytes).
+    EXPECT_GE(w.station.bytes_received().bytes(), sent.bytes() * 9 / 10);
+}
+
+TEST(PamasPolicyStationTest, SleepsWhenIdle) {
+    PamasBssWorld w;
+    w.sim.run_until(Time::from_seconds(20));
+    // No traffic at all: the radio stays in doze, power ~ doze level.
+    EXPECT_LT(w.station.average_power().watts(), 0.06);
+}
+
+TEST(PamasPolicyStationTest, PeriodStretchesAsBatteryDrains) {
+    PamasBssWorld w(power::Energy::from_joules(20.0));  // small pack
+    auto src = w.downlink(DataSize::from_bytes(1400), Rate::from_kbps(128), 3);
+    src.start();
+    const Time initial_period = w.pamas.sleep_quantum();
+    w.sim.run_until(Time::from_seconds(120));
+    EXPECT_LT(w.station.battery()->level(), 0.75);
+    EXPECT_GT(w.pamas.sleep_quantum(), initial_period);
+}
+
+TEST(PamasPolicyStationTest, DeadBatteryStopsTheRadio) {
+    PamasBssWorld w(power::Energy::from_joules(3.0));  // dies almost immediately
+    auto src = w.downlink(DataSize::from_bytes(1400), Rate::from_kbps(256), 3);
+    src.start();
+    w.sim.run_until(Time::from_seconds(300));
+    EXPECT_TRUE(w.station.battery()->empty());
+    // Frames stop flowing once dead: the buffer grows at the AP.
+    EXPECT_GT(w.ap.buffered(1), 100u);
+}
+
+TEST(PamasPolicyStationTest, LatencyReflectsSleepCycle) {
+    PamasBssWorld w;
+    auto src = w.downlink(DataSize::from_bytes(1000), Rate::from_kbps(32), 4);
+    src.start();
+    w.sim.run_until(Time::from_seconds(60));
+    ASSERT_GT(w.station.delivery_latency().count(), 10u);
+    // Mean latency is of the order of half the base cycle period (250 ms).
+    EXPECT_GT(w.station.delivery_latency().mean(), 0.05);
+    EXPECT_LT(w.station.delivery_latency().mean(), 1.0);
+}
+
+// --- alias kinds are the native scenarios --------------------------------
+
+TEST(PolicyAdapterTest, AliasKindsRewriteIntoTheNativeSpec) {
+    using policy::PolicyKind;
+    using policy::PowerPolicyConfig;
+    const auto psm = policy_spec(PowerPolicyConfig::of(PolicyKind::psm));
+    EXPECT_EQ(psm.policy(), core::Policy::psm);
+    EXPECT_FALSE(psm.has_power_policy());
+    EXPECT_EQ(psm.describe(),
+              core::ScenarioSpec::psm().with_clients(2).with_duration(Time::from_seconds(15))
+                  .describe());
+    EXPECT_EQ(policy_spec(PowerPolicyConfig::of(PolicyKind::ecmac)).policy(),
+              core::Policy::ecmac);
+    EXPECT_EQ(policy_spec(PowerPolicyConfig::of(PolicyKind::cam)).describe(),
+              core::ScenarioSpec::cam().with_clients(2).with_duration(Time::from_seconds(15))
+                  .describe());
+    // The psm alias carries the config's beacon interval into PsmConfig.
+    auto slow = PowerPolicyConfig::of(PolicyKind::psm);
+    slow.beacon_interval = Time::from_ms(200);
+    EXPECT_EQ(policy_spec(slow).psm_config().beacon_interval, Time::from_ms(200));
+}
+
 
 TEST(PolicyAdapterTest, PsmAdapterIsBitIdenticalToNativePsm) {
     const Time duration = Time::from_seconds(10);
@@ -294,7 +430,29 @@ TEST(PolicyAdapterTest, CamAdapterIsBitIdenticalToPlainCam) {
     }
 }
 
-// --- validate(): μNap transition-cost guard (the PR's small fix) --------
+// --- validate(): alias kinds have no uplink workload --------------------
+
+TEST(PolicyValidateTest, RefusesUplinkOnAliasKinds) {
+    using policy::PolicyKind;
+    using policy::PowerPolicyConfig;
+    for (const auto kind : {PolicyKind::cam, PolicyKind::psm, PolicyKind::ecmac}) {
+        try {
+            policy_spec(PowerPolicyConfig::of(kind).with_uplink(Time::from_ms(100),
+                                                                DataSize::from_bytes(200)))
+                .validate();
+            FAIL() << "expected ContractViolation for " << policy::to_string(kind);
+        } catch (const ContractViolation& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("uplink"), std::string::npos) << what;
+            EXPECT_NE(what.find("micro_nap"), std::string::npos) << what;
+        }
+    }
+    EXPECT_NO_THROW(policy_spec(PowerPolicyConfig::of(PolicyKind::micro_nap)
+                                    .with_uplink(Time::from_ms(100), DataSize::from_bytes(200)))
+                        .validate());
+}
+
+// --- validate(): μNap transition-cost guard -------------------------------
 
 TEST(PolicyValidateTest, RejectsNapTableThatCannotAmortizeInsideABeacon) {
     auto spec =
@@ -356,7 +514,7 @@ TEST(PolicyFaultTest, WhitelistsFollowEachPolicysDependencies) {
                         .with_fault_plan(stuck)
                         .validate());
 
-    // The EC-MAC adapter world has no injector wiring at all.
+    // The EC-MAC world has no injector wiring at all.
     fault::FaultPlan corrupt;
     corrupt.corruption(Time::from_seconds(1), Time::from_seconds(2), 0.25);
     EXPECT_THROW(policy_spec(PowerPolicyConfig::of(PolicyKind::ecmac))
