@@ -122,7 +122,8 @@ int main() {
             "fewer polls, longer doze");
     }
     for (const int sf_ms : {100, 250}) {
-        const auto r = backend.run(core::ScenarioSpec::ecmac().with_stream(config).with_superframe(Time::from_ms(sf_ms)));
+        const auto r = backend.run(core::ScenarioSpec::ecmac().with_stream(config).with_ecmac(
+            core::EcmacConfig{}.with_superframe(Time::from_ms(sf_ms))));
         row("ec-mac, superframe " + std::to_string(sf_ms) + " ms", r.mean_wnic(), r.min_qos(),
             "collision-free schedule");
     }

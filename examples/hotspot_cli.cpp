@@ -29,31 +29,31 @@
 ///   --recovery: none (default) | reclaim | rejoin | degrade — what the
 ///            hotspot does about injected faults (liveness reclamation +
 ///            burst repair; + rejoin backoff; + media-proxy degradation)
-/// Observability (every --obs-* flag also accepts its historical
-/// spelling, shown in parentheses):
-///   --obs-trace (--trace): write a Chrome trace_event JSON of the NIC
-///            power-state lanes plus a fault lane when a plan is active
-///            (hotspot/mixed configs) — open it at https://ui.perfetto.dev
-///   --obs-metrics (--metrics): write the run's obs metrics snapshot as
-///            flat JSON; always includes the per-client energy ledger
-///   --obs-health (--health-out): write the kernel health report —
-///            per-shard barrier/imbalance attribution, per-cell rollups
-///            (federation), watchdog reports — as deterministic JSON.
-///            Shard attribution needs a -DWLANPS_OBS=ON build and a
-///            sharded run (--federation, or --config hotspot --shards N)
-///   --obs-stream (--fed-stream): stream federation metrics incrementally
-///            to a compact WPSM binary file (bench_diff.py decodes it)
-///   --obs-sample-interval (--sample-interval): poll queue depth / live
-///            clients / per-client energy every S sim-seconds and export
-///            them as counter tracks in the --obs-trace file; also drives
-///            the watchdog sweep cadence (hotspot/mixed configs)
-///   --obs-flight (--flight): keep a flight recorder of the last N causal
-///            hops (enqueued/scheduled/polled/tx/retx/rx/doze-wakeup);
-///            hops are recorded only in a -DWLANPS_OBS=ON build and
-///            exported into the --obs-trace file as flow-arrow lanes
-///   --obs-post-mortem (--post-mortem): when a fault recovery takes longer
-///            than the threshold, dump the flight recorder's tail to
-///            PREFIX.c<id>.<n>.flight.json (implies --obs-flight 1024)
+/// Observability:
+///   --obs-trace: write a Chrome trace_event JSON of the NIC power-state
+///            lanes plus a fault lane when a plan is active (hotspot/mixed
+///            configs) — open it at https://ui.perfetto.dev
+///   --obs-metrics: write the run's obs metrics snapshot as flat JSON;
+///            always includes the per-client energy ledger
+///   --obs-health: write the kernel health report — per-shard
+///            barrier/imbalance attribution, per-cell rollups (federation),
+///            watchdog reports — as deterministic JSON.  Shard attribution
+///            needs a -DWLANPS_OBS=ON build and a sharded run (--federation,
+///            or --config hotspot --shards N)
+///   --obs-stream: stream federation metrics incrementally to a compact
+///            WPSM binary file (bench_diff.py decodes it)
+///   --obs-sample-interval: poll queue depth / live clients / per-client
+///            energy every S sim-seconds and export them as counter tracks
+///            in the --obs-trace file; also drives the watchdog sweep
+///            cadence (hotspot/mixed configs)
+///   --obs-flight: keep a flight recorder of the last N causal hops
+///            (enqueued/scheduled/polled/tx/retx/rx/doze-wakeup); hops are
+///            recorded only in a -DWLANPS_OBS=ON build and exported into
+///            the --obs-trace file as flow-arrow lanes
+///   --obs-post-mortem: when a fault recovery takes longer than the
+///            threshold (--obs-post-mortem-threshold S, default 1), dump
+///            the flight recorder's tail to PREFIX.c<id>.<n>.flight.json
+///            (implies --obs-flight 1024)
 ///
 /// A runtime invariant watchdog is always armed: federation runs sweep it
 /// at chunk boundaries (burst conservation, slab epoch monotonicity,
@@ -67,7 +67,7 @@
 ///   hotspot_cli --config wlan-cam             # the baseline row
 ///   hotspot_cli --clients 5 --scheduler wfq --burst 96
 ///   hotspot_cli --fault-plan "crash@30+15:c1" --recovery rejoin
-///   hotspot_cli --trace hotspot_trace.json --metrics metrics.json
+///   hotspot_cli --obs-trace hotspot_trace.json --obs-metrics metrics.json
 
 #include <cmath>
 #include <cstdio>
@@ -112,9 +112,7 @@ namespace {
                  "          [--obs-post-mortem PREFIX] [--obs-post-mortem-threshold S]\n"
                  "          [--federation] [--aps N] [--shards N] [--threads N]\n"
                  "          [--roaming DWELL_S] [--admission reject|defer|degrade]\n"
-                 "          [--capacity N] [--arrivals HZ] [--flash HZ]\n"
-                 "(--trace/--metrics/--health-out/--fed-stream/--sample-interval/--flight/\n"
-                 " --post-mortem[-threshold] are accepted aliases of the --obs-* flags)\n",
+                 "          [--capacity N] [--arrivals HZ] [--flash HZ]\n",
                  argv0);
     std::exit(2);
 }
@@ -270,21 +268,21 @@ int main(int argc, char** argv) {
             }
         } else if (arg == "--recovery") {
             recovery = next();
-        } else if (arg == "--obs-trace" || arg == "--trace") {
+        } else if (arg == "--obs-trace") {
             trace_path = next();
-        } else if (arg == "--obs-metrics" || arg == "--metrics") {
+        } else if (arg == "--obs-metrics") {
             metrics_path = next();
-        } else if (arg == "--obs-health" || arg == "--health-out") {
+        } else if (arg == "--obs-health") {
             health_path = next();
-        } else if (arg == "--obs-sample-interval" || arg == "--sample-interval") {
+        } else if (arg == "--obs-sample-interval") {
             sample_interval_s = std::atof(next());
             if (sample_interval_s <= 0.0) usage(argv[0]);
-        } else if (arg == "--obs-flight" || arg == "--flight") {
+        } else if (arg == "--obs-flight") {
             flight_capacity = static_cast<std::size_t>(std::atoll(next()));
             if (flight_capacity < 1) usage(argv[0]);
-        } else if (arg == "--obs-post-mortem" || arg == "--post-mortem") {
+        } else if (arg == "--obs-post-mortem") {
             postmortem_prefix = next();
-        } else if (arg == "--obs-post-mortem-threshold" || arg == "--post-mortem-threshold") {
+        } else if (arg == "--obs-post-mortem-threshold") {
             postmortem_threshold_s = std::atof(next());
         } else if (arg == "--federation") {
             kind = "federation";
@@ -311,7 +309,7 @@ int main(int argc, char** argv) {
             fed_options.base_arrival_hz = std::atof(next());
         } else if (arg == "--flash") {
             fed_options.flash_arrival_hz = std::atof(next());
-        } else if (arg == "--obs-stream" || arg == "--fed-stream") {
+        } else if (arg == "--obs-stream") {
             fed_options.with_stream_path(next());
         } else {
             usage(argv[0]);
@@ -319,8 +317,9 @@ int main(int argc, char** argv) {
     }
 
     // --shards/--threads name whichever sharded world runs: the federation,
-    // or the sharded hotspot (--config hotspot --shards N).
-    if (kind == "hotspot") {
+    // or the sharded hotspot (--config hotspot --shards N).  A mixed
+    // workload takes them too, so validate() refuses the combination.
+    if (kind == "hotspot" || kind == "mixed") {
         if (shards_flag > 0) options.sharding.with_shards(shards_flag);
         if (threads_flag >= 0) options.sharding.with_threads(threads_flag);
     }
@@ -336,8 +335,8 @@ int main(int argc, char** argv) {
         usage(argv[0]);
     }
 
-    // The obs registry collects whatever the run records; --metrics dumps
-    // it.  --trace additionally mirrors every NIC's power states into
+    // The obs registry collects whatever the run records; --obs-metrics
+    // dumps it.  --obs-trace additionally mirrors every NIC's power states into
     // timeline lanes (hotspot/mixed configs own their NICs through
     // HotspotClient channels; other configs have no lane hook here), plus
     // one lane for the fault injector when a plan is active.
@@ -345,7 +344,7 @@ int main(int argc, char** argv) {
     obs::ScopedRegistry obs_scope(registry);
 
     // The energy ledger is always scoped: every config attaches its NICs,
-    // so --metrics carries the per-client, per-cause breakdown for free.
+    // so --obs-metrics carries the per-client, per-cause breakdown for free.
     obs::EnergyLedger ledger;
     obs::ScopedEnergyLedger ledger_scope(ledger);
 
@@ -379,7 +378,7 @@ int main(int argc, char** argv) {
         return std::nullopt;
     });
 
-    // Flight recorder + post-mortem dumper (--post-mortem implies a
+    // Flight recorder + post-mortem dumper (--obs-post-mortem implies a
     // recorder).  Hops are recorded only in a -DWLANPS_OBS=ON build; in
     // other builds the recorder simply stays empty.
     std::unique_ptr<obs::FlightRecorder> flight;
@@ -413,12 +412,12 @@ int main(int argc, char** argv) {
     std::vector<sim::SimSampler::Series> sampled;
     if (!trace_path.empty() || sample_interval_s > 0.0) {
         if (kind != "hotspot" && kind != "mixed") {
-            std::fprintf(stderr,
-                         "note: --trace/--sample-interval are wired for hotspot/mixed only\n");
+            std::fprintf(stderr, "note: --obs-trace/--obs-sample-interval are wired for "
+                                 "hotspot/mixed only\n");
         }
         if (sample_interval_s > 0.0 && trace_path.empty()) {
             std::fprintf(stderr,
-                         "note: --sample-interval tracks are exported via --trace\n");
+                         "note: --obs-sample-interval tracks are exported via --obs-trace\n");
         }
         if (!config.fault_plan.empty() && !trace_path.empty()) {
             options.fault_trace = &fault_lane;
@@ -491,14 +490,6 @@ int main(int argc, char** argv) {
     }
     if (!health_path.empty()) fed_options.with_health_path(health_path);
 
-    std::printf("%d client(s), %.0f s, seed %llu\n", config.clients,
-                config.duration.to_seconds(),
-                static_cast<unsigned long long>(config.seed));
-    if (!config.fault_plan.empty()) {
-        std::printf("fault plan: %s (recovery: %s)\n", config.fault_plan.str().c_str(),
-                    recovery.c_str());
-    }
-    std::printf("\n");
     try {
         // --config picks the spec shape, --backend picks the engine; the
         // spec itself is engine-agnostic (Backend::run rejects unsupported
@@ -525,6 +516,13 @@ int main(int argc, char** argv) {
             usage(argv[0]);
         }();
         spec.with_stream(config);
+        std::printf("%d client(s), %.0f s, seed %llu\n", spec.clients(),
+                    config.duration.to_seconds(), static_cast<unsigned long long>(config.seed));
+        if (!config.fault_plan.empty()) {
+            std::printf("fault plan: %s (recovery: %s)\n", config.fault_plan.str().c_str(),
+                        recovery.c_str());
+        }
+        std::printf("\n");
         if (kind == "federation") {
             // Run directly: the population summary and fingerprint live
             // beside the backend-shaped ScenarioResult.

@@ -8,6 +8,8 @@
 # The build compiles with -DWLANPS_OBS=ON so the obs hot-path hooks, the
 # synchronized log sink, and the per-run ScopedRegistry run under TSan
 # (obs_test hammers the logger from 8 threads and the runner merge from 4).
+# determinism_test runs scenario grids on the runner's worker pool, so a
+# RunFn that shares mutable state across workers trips here.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -18,7 +20,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DWLANPS_SANITIZE=thread -DWLANPS_OBS=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target exp_runner_test sim_simulator_test sim_calendar_queue_test obs_test \
-    sim_sharded_test fed_federation_test obs_health_test
+    sim_sharded_test fed_federation_test obs_health_test determinism_test
 "./$BUILD_DIR/tests/exp_runner_test"
 "./$BUILD_DIR/tests/sim_simulator_test"
 "./$BUILD_DIR/tests/sim_calendar_queue_test"
@@ -37,4 +39,5 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # across-thread bit-identity tests run that handoff at 1/2/4 workers
 # with watchdog sweeps live.
 "./$BUILD_DIR/tests/obs_health_test"
+"./$BUILD_DIR/tests/determinism_test"
 echo "TSan check passed."

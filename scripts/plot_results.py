@@ -12,7 +12,7 @@ matplotlib installed, the Figure 2 bar chart and the AB3 loss sweep are
 rendered as PNGs.
 
 With --metrics metrics.json (the obs snapshot written by run_bench.sh or
-hotspot_cli --metrics), the per-client energy-attribution ledger is
+hotspot_cli --obs-metrics), the per-client energy-attribution ledger is
 rendered as a stacked per-cause bar chart (energy_breakdown.png) and
 dumped to energy_breakdown.csv.
 
@@ -142,7 +142,7 @@ def energy_breakdown(metrics_path, outdir):
     ledger = doc.get("energy_ledger")
     if not ledger:
         print(f"{metrics_path} has no energy_ledger section (run with the "
-              "ledger scoped, e.g. hotspot_cli --metrics)", file=sys.stderr)
+              "ledger scoped, e.g. hotspot_cli --obs-metrics)", file=sys.stderr)
         return
     clients = ledger.get("clients", {})
     if not clients:

@@ -19,10 +19,6 @@ std::string AnalyticBackend::unsupported_reason(const ScenarioSpec& spec) const 
         case Policy::ecmac:
             return "the EC-MAC superframe schedule is event-driven and has no "
                    "closed-form model — run ecmac scenarios on the sim backend";
-        case Policy::hotspot_mixed:
-            return "heterogeneous mixed workloads (video/web admission, per-class "
-                   "QoS) have no closed-form model — run hotspot_mixed scenarios "
-                   "on the sim backend";
         case Policy::federation:
             return "federation roaming/admission dynamics (flash crowds, handoffs, "
                    "backhaul contention) are event-driven and have no closed-form "
@@ -46,6 +42,11 @@ std::string AnalyticBackend::unsupported_reason(const ScenarioSpec& spec) const 
     }
     if (spec.policy() == Policy::hotspot) {
         const auto& h = spec.hotspot_config();
+        if (spec.has_mix()) {
+            return "heterogeneous mixed workloads (video/web admission, per-class "
+                   "QoS) have no closed-form model — run mixed hotspot scenarios "
+                   "on the sim backend";
+        }
         if (h.media_proxy) {
             return "media-proxy degradation is adaptive and has no closed-form "
                    "model — run proxied scenarios on the sim backend";
@@ -101,7 +102,6 @@ ScenarioResult AnalyticBackend::do_run(const ScenarioSpec& spec, std::uint64_t s
             break;
         }
         case Policy::ecmac:
-        case Policy::hotspot_mixed:
         case Policy::federation:
             WLANPS_REQUIRE_MSG(false, "unsupported policy reached AnalyticBackend::do_run");
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "bt/piconet.hpp"
 #include "sim/assert.hpp"
 
 namespace wlanps::core {
@@ -21,6 +22,17 @@ bool known_scheduler(const std::string& name) {
                                              "fixed-priority", "fifo"};
     return std::any_of(std::begin(kNames), std::end(kNames),
                        [&](const char* n) { return name == n; });
+}
+
+/// The one piconet rule: every bt client, and every hotspot client with
+/// bt_available, is an active slave on its cell's piconet.
+void require_piconet_fits(int clients_per_piconet) {
+    const int max = bt::PiconetConfig{}.max_active;
+    WLANPS_REQUIRE_MSG(clients_per_piconet <= max,
+                       "clients per piconet must be <= " + std::to_string(max) + " (got " +
+                           std::to_string(clients_per_piconet) +
+                           " on one piconet) — use fewer clients, or on a hotspot set "
+                           "bt_available = false or add shards");
 }
 
 }  // namespace
@@ -214,8 +226,6 @@ void MixedWorkload::validate() const {
     WLANPS_REQUIRE_MSG(mp3_clients >= 0 && video_clients >= 0 && web_clients >= 0,
                        "MixedWorkload client counts must be non-negative");
     WLANPS_REQUIRE_MSG(total() >= 1, "MixedWorkload needs at least one client");
-    WLANPS_REQUIRE_MSG(total() <= 7, "one piconet supports at most 7 active slaves (got " +
-                                         std::to_string(total()) + ")");
 }
 
 std::string_view to_string(Policy policy) {
@@ -225,27 +235,10 @@ std::string_view to_string(Policy policy) {
         case Policy::ecmac: return "ecmac";
         case Policy::bt: return "bt";
         case Policy::hotspot: return "hotspot";
-        case Policy::hotspot_mixed: return "hotspot-mixed";
         case Policy::federation: return "federation";
     }
     WLANPS_REQUIRE_MSG(false, "bad policy");
     return "";
-}
-
-Policy parse_policy(std::string_view name) {
-    if (name == "cam" || name == "wlan-cam") return Policy::cam;
-    if (name == "psm" || name == "wlan-psm") return Policy::psm;
-    if (name == "ecmac" || name == "ec-mac") return Policy::ecmac;
-    if (name == "bt" || name == "bt-active") return Policy::bt;
-    if (name == "hotspot") return Policy::hotspot;
-    if (name == "hotspot-mixed" || name == "hotspot_mixed" || name == "mixed") {
-        return Policy::hotspot_mixed;
-    }
-    if (name == "federation" || name == "fed") return Policy::federation;
-    WLANPS_REQUIRE_MSG(false, "unknown policy '" + std::string(name) +
-                                  "' (cam, psm, ecmac, bt, hotspot, hotspot-mixed, "
-                                  "federation)");
-    return Policy::cam;  // unreachable
 }
 
 ScenarioSpec& ScenarioSpec::with_power_policy(policy::PowerPolicyConfig config) {
@@ -274,9 +267,9 @@ std::string ScenarioSpec::label() const {
         case Policy::ecmac: return "ec-mac";
         case Policy::bt: return "bt-active";
         case Policy::hotspot:
+            if (has_mix()) return "hotspot-mixed-" + hotspot_.scheduler;
             return (hotspot_.sharding.enabled() ? "hotspot-sharded-" : "hotspot-") +
                    hotspot_.scheduler;
-        case Policy::hotspot_mixed: return "hotspot-mixed-" + hotspot_.scheduler;
         case Policy::federation:
             return "federation-" + std::string(to_string(fed_.admission));
     }
@@ -333,12 +326,12 @@ std::string ScenarioSpec::describe() const {
                        fmt(fed_.flash_duration.to_seconds());
             }
             break;
-        case Policy::hotspot_mixed:
-            out += " mp3=" + std::to_string(mix_.mp3_clients);
-            out += " video=" + std::to_string(mix_.video_clients);
-            out += " web=" + std::to_string(mix_.web_clients);
-            [[fallthrough]];
         case Policy::hotspot:
+            if (has_mix()) {
+                out += " mp3=" + std::to_string(mix_.mp3_clients);
+                out += " video=" + std::to_string(mix_.video_clients);
+                out += " web=" + std::to_string(mix_.web_clients);
+            }
             out += " scheduler=" + hotspot_.scheduler;
             out += " burst_kb=" + fmt(hotspot_.target_burst.kilobytes());
             out += " burst_period_s=" + fmt(hotspot_.target_burst_period.to_seconds());
@@ -360,7 +353,7 @@ std::string ScenarioSpec::describe() const {
 void ScenarioSpec::validate() const {
     WLANPS_REQUIRE_MSG(stream_.duration > Time::zero(),
                        "ScenarioSpec duration must be positive");
-    if (policy_ == Policy::hotspot_mixed) {
+    if (has_mix()) {
         mix_.validate();
     } else if (policy_ == Policy::federation) {
         // The initial population may be empty if arrivals feed the cells.
@@ -384,12 +377,10 @@ void ScenarioSpec::validate() const {
     WLANPS_REQUIRE_MSG(!ecmac_set_ || policy_ == Policy::ecmac,
                        "EcmacConfig (superframe) set on a '" + policy_name +
                            "' scenario — use ScenarioSpec::ecmac()");
-    WLANPS_REQUIRE_MSG(
-        !hotspot_set_ ||
-            policy_ == Policy::hotspot || policy_ == Policy::hotspot_mixed,
-        "HotspotConfig set on a '" + policy_name +
-            "' scenario — use ScenarioSpec::hotspot() or hotspot_mixed()");
-    WLANPS_REQUIRE_MSG(!mix_set_ || policy_ == Policy::hotspot_mixed,
+    WLANPS_REQUIRE_MSG(!hotspot_set_ || policy_ == Policy::hotspot,
+                       "HotspotConfig set on a '" + policy_name +
+                           "' scenario — use ScenarioSpec::hotspot() or hotspot_mixed()");
+    WLANPS_REQUIRE_MSG(!mix_set_ || policy_ == Policy::hotspot,
                        "MixedWorkload set on a '" + policy_name +
                            "' scenario — use ScenarioSpec::hotspot_mixed()");
     WLANPS_REQUIRE_MSG(!fed_set_ || policy_ == Policy::federation,
@@ -439,6 +430,7 @@ void ScenarioSpec::validate() const {
             }
             break;
         case Policy::bt:
+            require_piconet_fits(stream_.clients);
             break;
         case Policy::psm:
             psm_.validate();
@@ -448,18 +440,20 @@ void ScenarioSpec::validate() const {
             break;
         case Policy::hotspot:
             hotspot_.validate();
-            if (hotspot_.sharding.enabled() && hotspot_.bt_available) {
-                const int per_cell =
-                    (stream_.clients + hotspot_.sharding.shards - 1) / hotspot_.sharding.shards;
-                WLANPS_REQUIRE_MSG(per_cell <= 7,
-                                   "each sharded cell owns one piconet (max 7 active slaves); " +
-                                       std::to_string(per_cell) +
-                                       " clients per cell need bt_available = false or more "
-                                       "shards");
+            if (has_mix()) {
+                WLANPS_REQUIRE_MSG(!hotspot_.media_proxy,
+                                   "a mixed workload feeds each client from its row (stored "
+                                   "MP3, live video, live web) — clear media_proxy or drop "
+                                   "the mix");
+                WLANPS_REQUIRE_MSG(!hotspot_.sharding.enabled(),
+                                   "a mixed workload runs on the single-queue hotspot — set "
+                                   "sharding.shards = 0 or drop the mix");
             }
-            break;
-        case Policy::hotspot_mixed:
-            hotspot_.validate();
+            if (hotspot_.bt_available) {
+                // One piconet per cell; the single-queue hotspot is one cell.
+                const int cells = std::max(1, hotspot_.sharding.shards);
+                require_piconet_fits((clients() + cells - 1) / cells);
+            }
             break;
         case Policy::federation:
             fed_.validate();

@@ -4,7 +4,7 @@
 ///
 /// A ScenarioSpec is the single, validated, serializable unit of
 /// experiment description: which power-management policy runs
-/// (cam / psm / ecmac / bt / hotspot / hotspot_mixed), the stream and
+/// (cam / psm / ecmac / bt / hotspot / federation), the stream and
 /// world parameters (client count, duration, links, NIC calibration,
 /// fault plan), and the policy-specific sub-configuration.  Any
 /// core::Backend (backend.hpp) — the discrete-event simulator or the
@@ -361,16 +361,10 @@ struct MixedWorkload {
 };
 
 /// Which power-management policy a scenario evaluates.
-enum class Policy { cam, psm, ecmac, bt, hotspot, hotspot_mixed, federation };
+enum class Policy { cam, psm, ecmac, bt, hotspot, federation };
 
-/// Canonical name ("cam", "psm", "ecmac", "bt", "hotspot", "hotspot-mixed",
-/// "federation").
+/// Canonical name ("cam", "psm", "ecmac", "bt", "hotspot", "federation").
 [[nodiscard]] std::string_view to_string(Policy policy);
-
-/// Parse a policy name; accepts the canonical names plus the historical
-/// CLI spellings ("wlan-cam", "wlan-psm", "mixed").  Throws a
-/// ContractViolation listing the accepted names on anything else.
-[[nodiscard]] Policy parse_policy(std::string_view name);
 
 /// One scenario, fully described: policy + stream/world parameters +
 /// policy-specific sub-config.  Fluent construction:
@@ -393,14 +387,12 @@ public:
     [[nodiscard]] static ScenarioSpec ecmac() { return ScenarioSpec{Policy::ecmac}; }
     [[nodiscard]] static ScenarioSpec bt() { return ScenarioSpec{Policy::bt}; }
     [[nodiscard]] static ScenarioSpec hotspot() { return ScenarioSpec{Policy::hotspot}; }
+    /// A hotspot serving MixedWorkload{} (see with_mix).
     [[nodiscard]] static ScenarioSpec hotspot_mixed() {
-        return ScenarioSpec{Policy::hotspot_mixed};
+        return ScenarioSpec{Policy::hotspot}.with_mix(MixedWorkload{});
     }
     [[nodiscard]] static ScenarioSpec federation() {
         return ScenarioSpec{Policy::federation};
-    }
-    [[nodiscard]] static ScenarioSpec with_policy(Policy policy) {
-        return ScenarioSpec{policy};
     }
 
     ScenarioSpec() = default;
@@ -416,22 +408,6 @@ public:
     }
     ScenarioSpec& with_duration(Time duration) {
         stream_.duration = duration;
-        return *this;
-    }
-    ScenarioSpec& with_wlan_link(channel::GilbertElliottConfig link) {
-        stream_.wlan_link = link;
-        return *this;
-    }
-    ScenarioSpec& with_bt_link(channel::GilbertElliottConfig link) {
-        stream_.bt_link = link;
-        return *this;
-    }
-    ScenarioSpec& with_wlan_nic(phy::WlanNicConfig nic) {
-        stream_.wlan_nic = nic;
-        return *this;
-    }
-    ScenarioSpec& with_bt_nic(phy::BtNicConfig nic) {
-        stream_.bt_nic = nic;
         return *this;
     }
     ScenarioSpec& with_fault_plan(fault::FaultPlan plan) {
@@ -450,17 +426,13 @@ public:
         ecmac_set_ = true;
         return *this;
     }
-    /// Shorthand for with_ecmac(EcmacConfig{}.with_superframe(v)).
-    ScenarioSpec& with_superframe(Time v) {
-        ecmac_.superframe = v;
-        ecmac_set_ = true;
-        return *this;
-    }
     ScenarioSpec& with_hotspot(HotspotConfig config) {
         hotspot_ = std::move(config);
         hotspot_set_ = true;
         return *this;
     }
+    /// Serve a hotspot's clients from \p mix, each row with its own contract
+    /// and feed (stored MP3, live video, live web); stream.clients is ignored.
     ScenarioSpec& with_mix(MixedWorkload mix) {
         mix_ = mix;
         mix_set_ = true;
@@ -489,6 +461,8 @@ public:
     [[nodiscard]] const EcmacConfig& ecmac_config() const { return ecmac_; }
     [[nodiscard]] const HotspotConfig& hotspot_config() const { return hotspot_; }
     [[nodiscard]] const MixedWorkload& mix() const { return mix_; }
+    /// True when a MixedWorkload supplies a hotspot's clients.
+    [[nodiscard]] bool has_mix() const { return mix_set_ && policy_ == Policy::hotspot; }
     [[nodiscard]] const FederationConfig& federation_config() const { return fed_; }
     /// True when an event-driven power policy (micro_nap, pamas) drives
     /// the stations; alias kinds have become the native policy instead.
@@ -496,13 +470,12 @@ public:
         return power_set_ && policy_ == Policy::cam && power_.kind != policy::PolicyKind::cam;
     }
     [[nodiscard]] const policy::PowerPolicyConfig& power_policy_config() const { return power_; }
-    [[nodiscard]] int clients() const {
-        return policy_ == Policy::hotspot_mixed ? mix_.total() : stream_.clients;
-    }
+    [[nodiscard]] int clients() const { return has_mix() ? mix_.total() : stream_.clients; }
     [[nodiscard]] Time duration() const { return stream_.duration; }
 
     /// Scenario label matching the historical ScenarioResult labels
-    /// ("wlan-cam", "wlan-psm", "ec-mac", "bt-active", "hotspot-<sched>").
+    /// ("wlan-cam", "wlan-psm", "ec-mac", "bt-active", "hotspot-<sched>",
+    /// "hotspot-mixed-<sched>", "hotspot-sharded-<sched>").
     [[nodiscard]] std::string label() const;
 
     /// One-line serialized description: "policy=psm clients=3
@@ -551,8 +524,9 @@ struct FaultSurface {
 };
 
 /// The fault table: what \p spec's world injects.  Defined beside the
-/// world builders' hook binders (scenarios.cpp); validate() refuses every
-/// other kind, so a validated plan always arms.
+/// BSS worlds' hook binder (scenarios.cpp; the hotspot binder is in
+/// hotspot_world.cpp); validate() refuses every other kind, so a
+/// validated plan always arms.
 [[nodiscard]] FaultSurface injectable_faults(const ScenarioSpec& spec);
 
 }  // namespace wlanps::core

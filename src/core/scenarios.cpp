@@ -1,13 +1,11 @@
 #include "core/scenarios.hpp"
 
-#include <map>
 #include <memory>
 #include <utility>
 
 #include "bt/piconet.hpp"
-#include "core/burst_channel.hpp"
+#include "core/hotspot_world.hpp"
 #include "core/scenario_obs.hpp"
-#include "core/sharded_hotspot.hpp"
 #include "fault/injector.hpp"
 #include "fed/federation.hpp"
 #include "mac/access_point.hpp"
@@ -67,6 +65,10 @@ FaultSurface injectable_faults(const ScenarioSpec& spec) {
             // The Hotspot has no beacon/PS-Poll MAC; its radio hooks exist
             // only with a WLAN interface, and the sharded control plane has
             // no schedule-message path.
+            if (spec.has_mix()) {
+                return {0u, "a mixed-workload hotspot binds no fault hooks — use a "
+                            "single-workload hotspot (ScenarioSpec::hotspot())"};
+            }
             const HotspotConfig& h = spec.hotspot_config();
             const std::uint32_t radio = h.wlan_available ? kRadioFaults : 0u;
             if (h.sharding.enabled()) {
@@ -87,7 +89,6 @@ FaultSurface injectable_faults(const ScenarioSpec& spec) {
                     "only — use a hotspot scenario for MAC/link-level kinds"};
         case Policy::ecmac:
         case Policy::bt:
-        case Policy::hotspot_mixed:
             break;
     }
     return {0u, "this world binds no fault hooks — use cam, psm, micro_nap, pamas, "
@@ -280,7 +281,6 @@ ScenarioResult sim_bt_active(const StreamConfig& config) {
     bt::Piconet piconet(sim, bt::PiconetConfig{}, root.fork(100));
 
     std::vector<std::unique_ptr<bt::BtSlave>> slaves;
-    std::vector<bt::SlaveId> ids;
     std::vector<std::unique_ptr<traffic::PlayoutBuffer>> playouts;
     std::vector<std::unique_ptr<traffic::Mp3Source>> sources;
 
@@ -297,7 +297,6 @@ ScenarioResult sim_bt_active(const StreamConfig& config) {
         auto src = std::make_unique<traffic::Mp3Source>(
             sim, [&piconet, id](DataSize size) { piconet.send(id, size); });
         slaves.push_back(std::move(slave));
-        ids.push_back(id);
         playouts.push_back(std::move(playout));
         sources.push_back(std::move(src));
     }
@@ -316,391 +315,6 @@ ScenarioResult sim_bt_active(const StreamConfig& config) {
                                                      slaves[i]->bytes_received()));
     }
     if (obs::MetricsRegistry* reg = obs::current()) {
-        for (auto& s : slaves) s->nic().publish_metrics(*reg, "phy.bt");
-    }
-    record_client_obs(result);
-    record_kernel_obs(sim);
-    return result;
-}
-
-ScenarioResult sim_hotspot(const StreamConfig& config, const HotspotConfig& options) {
-    WLANPS_REQUIRE(config.clients >= 1);
-    WLANPS_REQUIRE_MSG(options.wlan_available || options.bt_available,
-                       "at least one interface must be available");
-    const fault::FaultPlan& plan = config.fault_plan;
-    plan.validate();
-    sim::Simulator sim;
-    sim::Random root(config.seed);
-
-    // Shared Bluetooth piconet for all clients (one Hotspot radio).
-    bt::Piconet piconet(sim, bt::PiconetConfig{}, root.fork(100));
-
-    std::vector<std::unique_ptr<HotspotClient>> clients;
-    std::vector<std::unique_ptr<phy::WlanNic>> wlan_nics;
-    std::vector<std::unique_ptr<channel::WirelessLink>> wlan_links;
-    std::vector<std::unique_ptr<bt::BtSlave>> slaves;
-    std::vector<std::unique_ptr<MediaProxy>> proxies;
-    std::vector<std::unique_ptr<traffic::Source>> sources;
-    std::vector<std::unique_ptr<RejoinAgent>> agents;  // index = client id - 1
-    std::vector<Time> join_at;                         // zero = at scenario start
-    // Fault-hook routing tables (client id -> the injectable surface).
-    std::map<ClientId, phy::WlanNic*> nic_of;
-    std::map<ClientId, channel::WirelessLink*> wlink_of;
-    std::map<ClientId, bt::SlaveId> sid_of;
-
-    HotspotServer server(sim,
-                         ServerConfig{}
-                             .with_target_burst(options.target_burst)
-                             .with_utilization_cap(options.utilization_cap)
-                             .with_target_burst_period(options.target_burst_period)
-                             .with_resilience(options.resilience),
-                         make_scheduler(options.scheduler));
-    const bool stored = !options.media_proxy;
-
-    for (int i = 0; i < config.clients; ++i) {
-        const auto id = static_cast<ClientId>(i + 1);
-        QosContract contract;
-        if (options.media_proxy) {
-            // Live A/V through the proxy (thinned under adversity).
-            contract.stream_rate = options.proxy_config.av_rate;
-            contract.client_buffer = DataSize::from_kilobytes(4096);
-            contract.preroll = Time::from_seconds(6);
-        } else {
-            contract.stream_rate = phy::calibration::kMp3Rate;
-        }
-        if (options.contract_tweak) options.contract_tweak(id, contract);
-        auto client = std::make_unique<HotspotClient>(sim, id, contract);
-
-        if (options.wlan_available) {
-            auto nic = std::make_unique<phy::WlanNic>(sim, config.wlan_nic,
-                                                      phy::WlanNic::State::idle);
-            auto link = std::make_unique<channel::WirelessLink>(config.wlan_link,
-                                                                root.fork(300 + i));
-            client->add_channel(
-                std::make_unique<WlanBurstChannel>(sim, *nic, link.get()));
-            nic_of[id] = nic.get();
-            wlink_of[id] = link.get();
-            wlan_nics.push_back(std::move(nic));
-            wlan_links.push_back(std::move(link));
-        }
-        if (options.bt_available) {
-            auto slave = std::make_unique<bt::BtSlave>(sim, config.bt_nic,
-                                                       phy::BtNic::State::active);
-            const bt::SlaveId sid = piconet.join(*slave);
-            piconet.set_link(sid, config.bt_link, root.fork(400 + i));
-            if (!options.bt_quality_script.empty()) {
-                piconet.set_link_script(sid, options.bt_quality_script);
-            }
-            client->add_channel(std::make_unique<BtBurstChannel>(piconet, sid, *slave));
-            sid_of[id] = sid;
-            slaves.push_back(std::move(slave));
-        }
-
-        join_at.push_back(plan.registration_at(id));
-        if (join_at.back().is_zero()) {
-            server.register_client(*client);
-            // The Hotspot proxy streams stored/prefetched media: bursts are
-            // sized by the client buffer, not real-time arrival (paper §2).
-            if (stored) server.set_stored_content(id, true);
-        }
-        if (options.media_proxy) {
-            // The downstream sink tolerates the client being unregistered
-            // (crashed/reclaimed): live content it misses is simply lost.
-            auto proxy = std::make_unique<MediaProxy>(
-                sim, *client,
-                [&server, id](DataSize s) {
-                    if (server.has_client(id)) server.ingest_sink(id)(s);
-                },
-                options.proxy_config);
-            // 600 kb/s-class A/V feed: ~3 KB chunks at the A/V rate.
-            sources.push_back(std::make_unique<traffic::PoissonSource>(
-                sim, proxy->ingest_sink(), DataSize::from_bytes(3000),
-                options.proxy_config.av_rate, root.fork(500 + i)));
-            proxies.push_back(std::move(proxy));
-        }
-        clients.push_back(std::move(client));
-    }
-
-    // Lives through the whole run: on_start callbacks may schedule probes
-    // that reference it mid-simulation.
-    std::vector<HotspotClient*> raw;
-    raw.reserve(clients.size());
-    for (auto& c : clients) raw.push_back(c.get());
-
-    if (obs::EnergyLedger* led = obs::current_ledger()) {
-        for (auto& c : clients) {
-            for (BurstChannel* ch : c->channels()) {
-                ch->wnic().attach_ledger(led, static_cast<std::uint32_t>(c->id()));
-            }
-        }
-    }
-
-    if (options.rejoin_enabled) {
-        for (std::size_t i = 0; i < clients.size(); ++i) {
-            agents.push_back(std::make_unique<RejoinAgent>(
-                sim, server, *clients[i], options.rejoin,
-                root.fork(910 + static_cast<std::uint64_t>(i))));
-            agents.back()->set_on_rejoined([&server, stored](ClientId cid) {
-                if (stored) server.set_stored_content(cid, true);
-            });
-        }
-        server.set_on_client_lost([&agents](ClientId cid) {
-            if (cid >= 1 && cid <= agents.size()) agents[cid - 1]->on_lost();
-        });
-    }
-
-    // Late joiners: the device shows up mid-run and asks for admission.
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-        if (join_at[i].is_zero()) continue;
-        sim.post_at(join_at[i], [&server, &agents, stored, c = clients[i].get()] {
-            if (server.try_register(*c)) {
-                if (stored) server.set_stored_content(c->id(), true);
-                c->playout().start();
-            } else if (c->id() >= 1 && c->id() <= agents.size()) {
-                agents[c->id() - 1]->on_lost();  // keep trying with backoff
-            }
-        });
-    }
-
-    // The injector is built only when the plan is non-empty: a faults-off
-    // run schedules nothing extra and consumes no extra randomness.
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (!plan.empty()) {
-        injector = std::make_unique<fault::FaultInjector>(sim, plan, root.fork(900));
-        if (options.wlan_available) {
-            injector->phy().nic_lockup = [&nic_of](std::uint32_t target, Time until) {
-                for (auto& [id, nic] : nic_of) {
-                    if (target == 0 || id == target) nic->inject_lockup(until);
-                }
-            };
-            injector->phy().wake_stuck = [&nic_of](std::uint32_t target, Time extra) {
-                for (auto& [id, nic] : nic_of) {
-                    if (target == 0 || id == target) nic->inject_wake_stuck(extra);
-                }
-            };
-        }
-        injector->net().fault_window = [&sim, &wlink_of, &sid_of, &piconet](
-                                           std::uint32_t target, fault::FaultSpec::Itf itf,
-                                           double p, Time until) {
-            if (itf != fault::FaultSpec::Itf::bt) {
-                for (auto& [id, link] : wlink_of) {
-                    if (target == 0 || id == target) {
-                        link->add_fault_window(sim.now(), until, p);
-                    }
-                }
-            }
-            if (itf != fault::FaultSpec::Itf::wlan) {
-                for (auto& [id, sid] : sid_of) {
-                    if (target != 0 && id != target) continue;
-                    if (auto* link = piconet.link(sid)) {
-                        link->add_fault_window(sim.now(), until, p);
-                    }
-                }
-            }
-        };
-        injector->core().crash = [&clients, &agents](std::uint32_t target) {
-            for (auto& c : clients) {
-                if (target != 0 && c->id() != target) continue;
-                c->crash();
-                if (c->id() >= 1 && c->id() <= agents.size()) agents[c->id() - 1]->on_crashed();
-            }
-        };
-        injector->core().revive = [&clients, &agents](std::uint32_t target) {
-            for (auto& c : clients) {
-                if (target != 0 && c->id() != target) continue;
-                c->revive();
-                if (c->id() >= 1 && c->id() <= agents.size()) agents[c->id() - 1]->on_revived();
-            }
-        };
-        injector->core().schedule_drop = [&server, &root](double p, Time until) {
-            server.inject_schedule_drop(p, until, root.fork(902));
-        };
-        injector->attach_trace(options.fault_trace);
-    }
-
-    if (options.on_start) options.on_start(sim, server, raw);
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-        clients[i]->start(/*start_playout=*/join_at[i].is_zero());
-    }
-    for (auto& p : proxies) p->start();
-    for (auto& s : sources) s->start();
-    server.start();
-    if (injector) injector->arm();
-    sim.run_until(config.duration);
-    for (auto& c : clients) {
-        for (BurstChannel* ch : c->channels()) ch->wnic().settle_ledger();
-    }
-
-    if (options.inspect) options.inspect(sim, server, raw);
-
-    ScenarioResult result;
-    result.label = "hotspot-" + options.scheduler;
-    for (auto& c : clients) {
-        result.clients.push_back(make_client_metrics(c->wnic_average_power(),
-                                                     c->wnic_energy(), c->playout(),
-                                                     c->bytes_received()));
-    }
-    result.recovery = server.recovery_report();
-    for (auto& a : agents) {
-        result.recovery.rejoin_attempts += a->attempts();
-        result.recovery.rejoins += a->rejoins();
-        for (double t : a->recover_times_s()) result.recovery.recover_times_s.push_back(t);
-    }
-    for (auto& p : proxies) result.degradation.push_back(p->report());
-    if (injector) result.faults_injected = injector->injected_total();
-    if (obs::MetricsRegistry* reg = obs::current()) {
-        for (auto& nic : wlan_nics) nic->publish_metrics(*reg, "phy.wlan");
-        for (auto& s : slaves) s->nic().publish_metrics(*reg, "phy.bt");
-    }
-    record_client_obs(result);
-    record_kernel_obs(sim);
-    return result;
-}
-
-ScenarioResult sim_hotspot_mixed(const StreamConfig& config, const HotspotConfig& options,
-                                 MixedWorkload mix) {
-    WLANPS_REQUIRE(mix.mp3_clients >= 0 && mix.video_clients >= 0 && mix.web_clients >= 0);
-    const int total = mix.mp3_clients + mix.video_clients + mix.web_clients;
-    WLANPS_REQUIRE(total >= 1);
-    WLANPS_REQUIRE_MSG(mix.mp3_clients + mix.video_clients + mix.web_clients <= 7,
-                       "one piconet supports at most 7 active slaves");
-
-    sim::Simulator sim;
-    sim::Random root(config.seed);
-    bt::Piconet piconet(sim, bt::PiconetConfig{}, root.fork(100));
-
-    std::vector<std::unique_ptr<HotspotClient>> clients;
-    std::vector<std::unique_ptr<phy::WlanNic>> wlan_nics;
-    std::vector<std::unique_ptr<channel::WirelessLink>> wlan_links;
-    std::vector<std::unique_ptr<bt::BtSlave>> slaves;
-    std::vector<std::unique_ptr<traffic::Source>> sources;
-    enum class Kind { mp3, video, web };
-    std::vector<Kind> kinds;
-
-    HotspotServer server(sim,
-                         ServerConfig{}
-                             .with_target_burst(options.target_burst)
-                             .with_utilization_cap(options.utilization_cap)
-                             .with_target_burst_period(options.target_burst_period),
-                         make_scheduler(options.scheduler));
-
-    // Mean rate of the default VBR video pattern (GOP of 12 at 25 fps).
-    const traffic::VideoSource::Config video_cfg;
-    const double video_bytes_per_gop =
-        static_cast<double>(video_cfg.i_frame.bytes()) +
-        3.0 * static_cast<double>(video_cfg.p_frame.bytes()) +
-        8.0 * static_cast<double>(video_cfg.b_frame.bytes());
-    const Rate video_rate =
-        Rate::from_bps(video_bytes_per_gop * 8.0 * video_cfg.fps / video_cfg.gop);
-
-    auto build_client = [&](ClientId id, Kind kind) {
-        QosContract contract;
-        switch (kind) {
-            case Kind::mp3:
-                contract.stream_rate = phy::calibration::kMp3Rate;
-                break;
-            case Kind::video:
-                contract.stream_rate = video_rate;
-                contract.client_buffer = DataSize::from_kilobytes(4096);
-                // Live VBR consumes as fast as it arrives, so the client
-                // can never buffer more than its preroll: a deep preroll
-                // buys the long inter-burst sleeps.
-                contract.preroll = Time::from_seconds(6);
-                break;
-            case Kind::web:
-                // Bursty, latency-tolerant; reserve a light trickle.
-                contract.stream_rate = Rate::from_kbps(64);
-                break;
-        }
-        auto client = std::make_unique<HotspotClient>(sim, id, contract);
-        auto nic = std::make_unique<phy::WlanNic>(sim, config.wlan_nic,
-                                                  phy::WlanNic::State::idle);
-        auto link = std::make_unique<channel::WirelessLink>(config.wlan_link,
-                                                            root.fork(300 + id));
-        client->add_channel(std::make_unique<WlanBurstChannel>(sim, *nic, link.get()));
-        wlan_nics.push_back(std::move(nic));
-        wlan_links.push_back(std::move(link));
-
-        auto slave = std::make_unique<bt::BtSlave>(sim, config.bt_nic,
-                                                   phy::BtNic::State::active);
-        const bt::SlaveId sid = piconet.join(*slave);
-        piconet.set_link(sid, config.bt_link, root.fork(400 + id));
-        client->add_channel(std::make_unique<BtBurstChannel>(piconet, sid, *slave));
-        slaves.push_back(std::move(slave));
-
-        server.register_client(*client);
-        switch (kind) {
-            case Kind::mp3:
-                server.set_stored_content(id, true);
-                break;
-            case Kind::video:
-                sources.push_back(std::make_unique<traffic::VideoSource>(
-                    sim, server.ingest_sink(id), video_cfg, root.fork(500 + id)));
-                break;
-            case Kind::web:
-                sources.push_back(std::make_unique<traffic::WebSource>(
-                    sim, server.ingest_sink(id), traffic::WebSource::Config{},
-                    root.fork(500 + id)));
-                break;
-        }
-        kinds.push_back(kind);
-        clients.push_back(std::move(client));
-    };
-
-    ClientId next_id = 1;
-    for (int i = 0; i < mix.mp3_clients; ++i) build_client(next_id++, Kind::mp3);
-    for (int i = 0; i < mix.video_clients; ++i) build_client(next_id++, Kind::video);
-    for (int i = 0; i < mix.web_clients; ++i) build_client(next_id++, Kind::web);
-
-    std::vector<HotspotClient*> raw;
-    raw.reserve(clients.size());
-    for (auto& c : clients) raw.push_back(c.get());
-
-    if (obs::EnergyLedger* led = obs::current_ledger()) {
-        for (auto& c : clients) {
-            for (BurstChannel* ch : c->channels()) {
-                ch->wnic().attach_ledger(led, static_cast<std::uint32_t>(c->id()));
-            }
-        }
-    }
-
-    if (options.on_start) options.on_start(sim, server, raw);
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-        clients[i]->start(/*start_playout=*/kinds[i] != Kind::web);
-    }
-    for (auto& s : sources) s->start();
-    server.start();
-    sim.run_until(config.duration);
-    for (auto& c : clients) {
-        for (BurstChannel* ch : c->channels()) ch->wnic().settle_ledger();
-    }
-
-    if (options.inspect) options.inspect(sim, server, raw);
-
-    ScenarioResult result;
-    result.label = "hotspot-mixed-" + options.scheduler;
-    std::size_t source_index = 0;
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-        ClientMetrics m = make_client_metrics(clients[i]->wnic_average_power(),
-                                              clients[i]->wnic_energy(),
-                                              clients[i]->playout(),
-                                              clients[i]->bytes_received());
-        if (kinds[i] != Kind::mp3) {
-            // Live-ingest clients: relate delivery to generation.
-            const traffic::Source& src = *sources[source_index++];
-            if (kinds[i] == Kind::web) {
-                const auto generated = src.bytes_generated();
-                m.qos = generated.is_zero()
-                            ? 1.0
-                            : std::min(1.0, static_cast<double>(m.received.bytes()) /
-                                                static_cast<double>(generated.bytes()));
-                m.underruns = 0;
-            }
-        }
-        result.clients.push_back(m);
-    }
-    if (obs::MetricsRegistry* reg = obs::current()) {
-        for (auto& nic : wlan_nics) nic->publish_metrics(*reg, "phy.wlan");
         for (auto& s : slaves) s->nic().publish_metrics(*reg, "phy.bt");
     }
     record_client_obs(result);
@@ -773,13 +387,7 @@ ScenarioResult SimBackend::do_run(const ScenarioSpec& spec, std::uint64_t seed) 
         case Policy::psm: return sim_wlan_bss(config, &spec.psm_config(), faults);
         case Policy::ecmac: return sim_ecmac(config, spec.ecmac_config().superframe);
         case Policy::bt: return sim_bt_active(config);
-        case Policy::hotspot:
-            if (spec.hotspot_config().sharding.enabled()) {
-                return sim_sharded_hotspot(config, spec.hotspot_config());
-            }
-            return sim_hotspot(config, spec.hotspot_config());
-        case Policy::hotspot_mixed:
-            return sim_hotspot_mixed(config, spec.hotspot_config(), spec.mix());
+        case Policy::hotspot: return sim_hotspot(spec, seed);
         case Policy::federation:
             return fed::run_federation(spec, seed).scenario;
     }
@@ -857,12 +465,13 @@ exp::RunFn fault_grid_run(StreamConfig config, core::HotspotConfig options,
     auto spec = ScenarioSpec::hotspot().with_stream(std::move(config)).with_hotspot(
         std::move(options));
     return [spec = std::move(spec), plans = std::move(plans)](const exp::ParamPoint& point,
-                                                              std::uint64_t seed) mutable {
+                                                              std::uint64_t seed) {
         WLANPS_REQUIRE_MSG(point.index < plans.size(),
                            "grid point " + std::to_string(point.index) + " has no fault plan (" +
                                std::to_string(plans.size()) + " provided)");
-        spec.with_fault_plan(plans[point.index]);
-        return to_recovery_metrics(SimBackend{}.run(spec, seed));
+        // A copy per call: the runner calls one RunFn from several workers.
+        return to_recovery_metrics(
+            SimBackend{}.run(ScenarioSpec(spec).with_fault_plan(plans[point.index]), seed));
     };
 }
 

@@ -24,7 +24,7 @@
 ///     deterministic), introducing a bounded timestamp error
 ///     <= window - lookahead that is measured and published.
 ///
-/// The kernel is workload-agnostic: core/sharded_hotspot.cpp builds the
+/// The kernel is workload-agnostic: core/hotspot_world.cpp builds the
 /// multi-cell hotspot scenario on top of it.
 
 #include <atomic>

@@ -357,6 +357,26 @@ TEST(ScenarioSpecValidation, RejectsHotspotWithNoInterfaces) {
     EXPECT_THROW((void)sim.run(spec), ContractViolation);
 }
 
+TEST(ScenarioSpecValidation, RejectsMoreClientsThanAPiconetHolds) {
+    // A piconet holds 7 active slaves: 8 clients on one is refused up
+    // front instead of failing inside the world build.
+    EXPECT_THROW(core::ScenarioSpec::hotspot().with_stream(stream(8, 60)).validate(),
+                 ContractViolation);
+    EXPECT_THROW(core::ScenarioSpec::bt().with_stream(stream(8, 60)).validate(),
+                 ContractViolation);
+    EXPECT_NO_THROW(core::ScenarioSpec::bt().with_stream(stream(7, 60)).validate());
+    // The fixes the refusal names: no BT, or one piconet per shard.
+    EXPECT_NO_THROW(core::ScenarioSpec::hotspot()
+                        .with_stream(stream(8, 60))
+                        .with_hotspot(core::HotspotConfig{}.with_bt_available(false))
+                        .validate());
+    EXPECT_NO_THROW(core::ScenarioSpec::hotspot()
+                        .with_stream(stream(8, 60))
+                        .with_hotspot(core::HotspotConfig{}.with_sharding(
+                            core::ShardingConfig{}.with_shards(2)))
+                        .validate());
+}
+
 // ---- sim <-> analytic cross-validation ---------------------------------------------
 //
 // The license to screen grids analytically: on the Figure 2 workload the

@@ -8,8 +8,10 @@
 #include <vector>
 
 #include "bt/piconet.hpp"
+#include "core/backend.hpp"
 #include "core/burst_channel.hpp"
 #include "core/client.hpp"
+#include "core/scenario_spec.hpp"
 #include "core/server.hpp"
 #include "power/battery.hpp"
 #include "sim/assert.hpp"
@@ -101,6 +103,38 @@ TEST(AdmissionTest, DeniedClientLeavesNoState) {
     EXPECT_FALSE(f.server->try_register(c));
     EXPECT_DOUBLE_EQ(f.server->reserved(phy::Interface::bluetooth).bps(), 0.0);
     EXPECT_THROW((void)f.server->report(c.id()), ContractViolation);
+}
+
+// A scenario whose t = 0 clients overflow the piconet's reservable
+// bandwidth: five 128 kb/s streams on a BT-only hotspot.
+ScenarioSpec overbooked_bt_hotspot() {
+    StreamConfig stream;
+    stream.clients = 5;
+    stream.duration = 20_s;
+    return ScenarioSpec::hotspot().with_stream(stream).with_hotspot(
+        HotspotConfig{}.with_wlan_available(false));
+}
+
+TEST(AdmissionTest, RefusedAtBuildTimeIsAResult) {
+    // validate() passes, so the run must complete: a client admission
+    // refuses at t = 0 stays unregistered and reports zero bytes.
+    const ScenarioResult result = SimBackend{}.run(overbooked_bt_hotspot());
+    ASSERT_EQ(result.clients.size(), 5u);
+    std::size_t starved = 0;
+    for (const ClientMetrics& c : result.clients) {
+        if (c.received.is_zero()) ++starved;
+    }
+    EXPECT_GE(starved, 1u);
+    EXPECT_LT(starved, 5u);
+}
+
+TEST(AdmissionTest, RefusedAtBuildTimeRejoinKeepsTrying) {
+    // With rejoin on, each refused client's agent retries admission.
+    ScenarioSpec spec = overbooked_bt_hotspot();
+    spec.with_hotspot(HotspotConfig{}.with_wlan_available(false).with_rejoin(RejoinPolicy{}));
+    const ScenarioResult result = SimBackend{}.run(spec);
+    ASSERT_EQ(result.clients.size(), 5u);
+    EXPECT_GE(result.recovery.rejoin_attempts, 1u);
 }
 
 TEST(AdmissionTest, ReservationFollowsInterfaceSwitch) {

@@ -173,6 +173,42 @@ TEST(MixedWorkloadTest, VideoGoesToWlanAudioToBt) {
     EXPECT_LT(result.clients[2].wnic_average.watts(), 0.5);
 }
 
+TEST(MixedWorkloadTest, HonoursBtAvailable) {
+    // The one hotspot builder reads every HotspotConfig field for mixed
+    // clients too: without Bluetooth, no client ends on BT.
+    StreamConfig config;
+    config.duration = Time::from_seconds(30);
+    std::vector<phy::Interface> serving;
+    HotspotConfig options;
+    options.bt_available = false;
+    options.inspect = [&](sim::Simulator&, HotspotServer& server,
+                          std::vector<HotspotClient*>& clients) {
+        for (HotspotClient* c : clients) {
+            const ClientReport report = server.report(c->id());
+            serving.push_back(c->channel(report.current_channel).interface());
+        }
+    };
+    const auto result = SimBackend{}.run(
+        ScenarioSpec::hotspot_mixed().with_stream(config).with_hotspot(options));
+    ASSERT_EQ(result.clients.size(), 4u);
+    ASSERT_EQ(serving.size(), 4u);
+    for (phy::Interface itf : serving) EXPECT_EQ(itf, phy::Interface::wlan);
+}
+
+TEST(MixedWorkloadTest, RefusesSharding) {
+    HotspotConfig options;
+    options.sharding = ShardingConfig{}.with_shards(2);
+    EXPECT_THROW(ScenarioSpec::hotspot_mixed().with_hotspot(options).validate(),
+                 ContractViolation);
+}
+
+TEST(MixedWorkloadTest, RefusesMediaProxy) {
+    HotspotConfig options;
+    options.media_proxy = true;
+    EXPECT_THROW(ScenarioSpec::hotspot_mixed().with_hotspot(options).validate(),
+                 ContractViolation);
+}
+
 TEST(MixedWorkloadTest, AllClientsFarBelowAlwaysOn) {
     StreamConfig config;
     config.duration = Time::from_seconds(60);
