@@ -60,7 +60,7 @@ import sys
 with open(sys.argv[1]) as f:
     health = json.load(f)
 
-REQUIRED = ["scope", "policy", "shards", "quanta", "idle_jumps", "events",
+REQUIRED = ["scope", "shards", "quanta", "idle_jumps", "events",
             "imbalance_index", "skew", "per_shard", "per_cell",
             "population", "watchdog"]
 missing = [k for k in REQUIRED if k not in health]

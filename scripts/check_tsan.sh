@@ -27,7 +27,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 "./$BUILD_DIR/tests/obs_test"
 # The sharded kernel is the one subsystem with real cross-thread traffic
 # during a simulation (mailbox posts, barrier handoffs, worker pool
-# start/stop); its tests run every policy at multiple worker counts.
+# start/stop); its tests run the ring and the sharded hotspot at
+# multiple worker counts.
 "./$BUILD_DIR/tests/sim_sharded_test"
 # The federation rides the same kernel but adds slab atomics (state /
 # current_ap / epoch) and cross-shard handoff ownership transfers; its

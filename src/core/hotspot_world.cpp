@@ -141,17 +141,14 @@ private:
 
     void plan() {
         const Time now = shx_.shard(0).now();
-        // Grants are posted one lookahead out, but under the lax policy a
-        // message may only be *delivered* at the next window boundary — up
-        // to one full quantum after this tick.  Feasible burst starts must
-        // clear the delivery bound, not just the posting bound.
-        const Time grant_latency = shx_.config().quantum();
+        // Grants are delivered one lookahead out; feasible burst starts
+        // must clear that delivery bound.
         std::vector<BurstRequest> pending;
         for (std::size_t i = 0; i < entries_.size(); ++i) {
             Entry& e = entries_[i];
             if (e.outstanding) continue;
             if (now < e.active_from || now < e.probation_until) continue;
-            const Time start_min = now + grant_latency + e.wake_latency + kStartMargin;
+            const Time start_min = now + kShardLookahead + e.wake_latency + kStartMargin;
             DataSize burst = effective_burst(e);
             const Time done_est = start_min + scaled_transfer(e.goodput, burst);
             const DataSize level = modeled_level(e, done_est);
@@ -178,7 +175,7 @@ private:
             const BurstRequest r = pending[k];
             pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(k));
             Entry& e = entries_[r.client - 1];
-            const Time start_min = now + grant_latency + e.wake_latency + kStartMargin;
+            const Time start_min = now + kShardLookahead + e.wake_latency + kStartMargin;
             const Time start = std::max(start_min, timeline(e));
             const Time service = scaled_transfer(e.goodput, r.size);
             timeline(e) = start + service + kSlotGap;
@@ -200,7 +197,7 @@ private:
         const Time deadline = r.deadline;
         const Time now = shx_.shard(0).now();
         shx_.post_cross(
-            0, shard, now + shx_.config().lookahead,
+            0, shard, now + kShardLookahead,
             [self, shard, client, channel, cid, size, start, deadline] {
                 client->execute_burst(
                     channel, size, start,
@@ -208,7 +205,7 @@ private:
                         sim::ShardedSimulator& shx = self->shx_;
                         const Time done_at = shx.shard(shard).now();
                         shx.post_cross(
-                            shard, 0, done_at + shx.config().lookahead,
+                            shard, 0, done_at + kShardLookahead,
                             [self, cid, done_at, deadline,
                              delivered = result.delivered] {
                                 self->complete(cid, delivered, done_at, deadline);
@@ -638,9 +635,7 @@ ScenarioResult sim_sharded(const ScenarioSpec& spec, const std::vector<ClientRow
     sim::ShardedConfig kernel;
     kernel.shards = shard_count;
     kernel.threads = static_cast<std::size_t>(sharding.threads);
-    kernel.policy = sharding.lax ? sim::SyncPolicy::lax_window : sim::SyncPolicy::strict_barrier;
-    kernel.lookahead = sharding.lookahead;
-    kernel.skew_window = sharding.lax ? sharding.skew_window : Time::zero();
+    kernel.lookahead = kShardLookahead;
     // Worst case per flush: one grant + one completion per client.
     kernel.mailbox_capacity = std::max<std::size_t>(1024, rows.size() * 4);
     sim::ShardedSimulator shx(kernel);
@@ -757,9 +752,7 @@ ScenarioResult sim_sharded(const ScenarioSpec& spec, const std::vector<ClientRow
     for (const auto& inj : injectors) result.faults_injected += inj->injected_total();
 
     if (obs::MetricsRegistry* reg = obs::current()) {
-        // Timing (wall-clock) series stay out of the registry so the
-        // snapshot is bit-identical across worker-thread counts.
-        shx.publish_metrics(*reg, /*include_timing=*/false);
+        shx.publish_metrics(*reg);
         reg->counter("sim.kernel.events_dispatched").add(shx.total_dispatched());
         reg->counter("core.sharded.deadline_misses").add(planner.deadline_misses());
         world.publish_metrics(*reg);

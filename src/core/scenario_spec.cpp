@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "bt/piconet.hpp"
+#include "core/server.hpp"
 #include "sim/assert.hpp"
 
 namespace wlanps::core {
@@ -65,8 +66,8 @@ void PsmConfig::validate() const {
     WLANPS_REQUIRE_MSG(aggregate_limit >= 1,
                        "PsmConfig.aggregate_limit must be >= 1 (got " +
                            std::to_string(aggregate_limit) + ")");
-    WLANPS_REQUIRE_MSG(beacon_interval > Time::zero(),
-                       "PsmConfig.beacon_interval must be positive");
+    WLANPS_REQUIRE_MSG(beacon_interval >= phy::calibration::kWlanTimeUnit,
+                       "PsmConfig.beacon_interval must be >= 1 TU (1.024 ms)");
 }
 
 void EcmacConfig::validate() const {
@@ -83,18 +84,6 @@ void ShardingConfig::validate() const {
                            ") cannot exceed shards (" + std::to_string(shards) +
                            ") — excess workers would never hold a shard; "
                            "lower threads or raise shards");
-    WLANPS_REQUIRE_MSG(lookahead > Time::zero(),
-                       "ShardingConfig.lookahead must be positive");
-    if (!skew_window.is_zero()) {
-        WLANPS_REQUIRE_MSG(lax,
-                           "ShardingConfig.skew_window is a lax-mode knob "
-                           "(set lax = true)");
-        WLANPS_REQUIRE_MSG(skew_window >= lookahead,
-                           "ShardingConfig.skew_window must be >= lookahead "
-                           "(a quantum narrower than the lookahead would stall "
-                           "cross-shard delivery) — shrink lookahead or widen "
-                           "skew_window");
-    }
 }
 
 std::string_view to_string(AdmissionPolicy policy) {
@@ -134,18 +123,6 @@ void FederationConfig::validate() const {
                            ") cannot exceed shards (" + std::to_string(shards) +
                            ") — excess workers would never hold a shard; "
                            "lower threads or raise shards");
-    WLANPS_REQUIRE_MSG(lookahead > Time::zero(),
-                       "FederationConfig.lookahead must be positive");
-    if (!skew_window.is_zero()) {
-        WLANPS_REQUIRE_MSG(lax,
-                           "FederationConfig.skew_window is a lax-mode knob "
-                           "(set lax = true)");
-        WLANPS_REQUIRE_MSG(skew_window >= lookahead,
-                           "FederationConfig.skew_window must be >= lookahead "
-                           "(a quantum narrower than the lookahead would stall "
-                           "cross-shard handoffs) — shrink lookahead or widen "
-                           "skew_window");
-    }
     WLANPS_REQUIRE_MSG(!roaming || aps >= 2,
                        "FederationConfig.roaming needs at least 2 APs to roam "
                        "between (got " + std::to_string(aps) +
@@ -170,12 +147,13 @@ void FederationConfig::validate() const {
     WLANPS_REQUIRE_MSG(degrade_factor > 0.0 && degrade_factor <= 1.0,
                        "FederationConfig.degrade_factor must be in (0, 1] (got " +
                            fmt(degrade_factor) + ")");
-    WLANPS_REQUIRE_MSG(!stream_rate.is_zero(), "FederationConfig.stream_rate must be positive");
-    WLANPS_REQUIRE_MSG(!target_burst.is_zero(),
+    WLANPS_REQUIRE_MSG(stream_rate > Rate::zero(),
+                       "FederationConfig.stream_rate must be positive");
+    WLANPS_REQUIRE_MSG(target_burst > DataSize::zero(),
                        "FederationConfig.target_burst must be positive");
-    WLANPS_REQUIRE_MSG(!radio_goodput.is_zero(),
+    WLANPS_REQUIRE_MSG(radio_goodput > Rate::zero(),
                        "FederationConfig.radio_goodput must be positive");
-    WLANPS_REQUIRE_MSG(!backhaul_rate.is_zero(),
+    WLANPS_REQUIRE_MSG(backhaul_rate > Rate::zero(),
                        "FederationConfig.backhaul_rate must be positive");
     WLANPS_REQUIRE_MSG(sample_stride >= 1,
                        "FederationConfig.sample_stride must be >= 1");
@@ -185,8 +163,10 @@ void HotspotConfig::validate() const {
     WLANPS_REQUIRE_MSG(known_scheduler(scheduler),
                        "HotspotConfig.scheduler '" + scheduler +
                            "' is unknown (edf, wfq, round-robin, fixed-priority, fifo)");
-    WLANPS_REQUIRE_MSG(!target_burst.is_zero(),
-                       "HotspotConfig.target_burst must be positive");
+    const DataSize min_burst = ServerConfig{}.min_burst;
+    WLANPS_REQUIRE_MSG(target_burst >= min_burst,
+                       "HotspotConfig.target_burst must be >= the server's minimum burst " +
+                           min_burst.str() + " (got " + target_burst.str() + ")");
     WLANPS_REQUIRE_MSG(target_burst_period > Time::zero(),
                        "HotspotConfig.target_burst_period must be positive");
     WLANPS_REQUIRE_MSG(wlan_available || bt_available,
@@ -198,10 +178,10 @@ void HotspotConfig::validate() const {
     resilience.validate();
     if (rejoin_enabled) rejoin.validate();
     if (media_proxy) {
-        WLANPS_REQUIRE_MSG(!proxy_config.av_rate.is_zero(),
-                           "HotspotConfig.proxy_config.av_rate must be positive");
-        WLANPS_REQUIRE_MSG(proxy_config.audio_rate <= proxy_config.av_rate,
-                           "HotspotConfig.proxy_config.audio_rate cannot exceed av_rate");
+        WLANPS_REQUIRE_MSG(proxy_config.audio_rate > Rate::zero(),
+                           "HotspotConfig.proxy_config.audio_rate must be positive");
+        WLANPS_REQUIRE_MSG(proxy_config.audio_rate < proxy_config.av_rate,
+                           "HotspotConfig.proxy_config.audio_rate must be below av_rate");
     }
     sharding.validate();
     if (sharding.enabled()) {
@@ -313,7 +293,6 @@ std::string ScenarioSpec::describe() const {
             out += " aps=" + std::to_string(fed_.aps);
             out += " shards=" + std::to_string(fed_.shards);
             out += " sim_threads=" + std::to_string(fed_.threads);
-            if (fed_.lax) out += " sync=lax";
             out += " admission=" + std::string(to_string(fed_.admission));
             out += " capacity=" + std::to_string(fed_.capacity_per_ap);
             if (fed_.roaming) out += " dwell_s=" + fmt(fed_.mean_dwell.to_seconds());
@@ -343,7 +322,6 @@ std::string ScenarioSpec::describe() const {
             if (hotspot_.sharding.enabled()) {
                 out += " shards=" + std::to_string(hotspot_.sharding.shards);
                 out += " sim_threads=" + std::to_string(hotspot_.sharding.threads);
-                if (hotspot_.sharding.lax) out += " sync=lax";
             }
             break;
     }

@@ -112,6 +112,11 @@ struct EcmacConfig {
     void validate() const;
 };
 
+/// Cross-shard lookahead of both sharded worlds (the sharded hotspot and
+/// the federation): the kernel quantum, the GrantPlanner's grant latency
+/// and the federation's handoff delay.
+inline constexpr Time kShardLookahead = Time::from_ms(20);
+
 /// Sharded parallel execution of the hotspot world (sim/sharded.hpp):
 /// clients are partitioned into per-shard AP cells, each advanced on its
 /// own event queue by the conservative sharded kernel, with a schedule-
@@ -121,23 +126,13 @@ struct EcmacConfig {
 struct ShardingConfig {
     int shards = 0;
     /// Sim worker threads; 0 = inline sequential execution of the sharded
-    /// world — the reference the strict barrier is bit-identical to.
+    /// world — the reference every thread count is bit-identical to.
     int threads = 0;
-    /// Lax clock-skew window (bounded timestamp error, fewer barriers)
-    /// instead of the strict barrier.
-    bool lax = false;
-    /// Cross-shard grant/completion lookahead; also the strict quantum.
-    Time lookahead = Time::from_ms(20);
-    /// Lax-mode quantum; zero = lookahead (coincides with strict).
-    Time skew_window = Time::zero();
 
     [[nodiscard]] bool enabled() const { return shards > 0; }
 
     ShardingConfig& with_shards(int v) { shards = v; return *this; }
     ShardingConfig& with_threads(int v) { threads = v; return *this; }
-    ShardingConfig& with_lax(bool v) { lax = v; return *this; }
-    ShardingConfig& with_lookahead(Time v) { lookahead = v; return *this; }
-    ShardingConfig& with_skew_window(Time v) { skew_window = v; return *this; }
 
     void validate() const;
 };
@@ -246,12 +241,6 @@ struct FederationConfig {
     /// Worker threads; 0 = inline sequential reference execution.  Must
     /// not exceed shards (excess workers would never hold a shard).
     int threads = 0;
-    /// Lax clock-skew sync instead of the strict barrier.
-    bool lax = false;
-    /// Cross-shard handoff/grant lookahead; also the strict quantum.
-    Time lookahead = Time::from_ms(20);
-    /// Lax-mode quantum; zero = lookahead (coincides with strict).
-    Time skew_window = Time::zero();
 
     // --- arrival process (deterministic seeded MMPP ramp per cell) ------
     /// Calm-state mean arrival rate per AP, in clients/second.
@@ -305,9 +294,6 @@ struct FederationConfig {
     FederationConfig& with_aps(int v) { aps = v; return *this; }
     FederationConfig& with_shards(int v) { shards = v; return *this; }
     FederationConfig& with_threads(int v) { threads = v; return *this; }
-    FederationConfig& with_lax(bool v) { lax = v; return *this; }
-    FederationConfig& with_lookahead(Time v) { lookahead = v; return *this; }
-    FederationConfig& with_skew_window(Time v) { skew_window = v; return *this; }
     FederationConfig& with_arrivals(double base_hz, double flash_hz,
                                     Time start, Time duration) {
         base_arrival_hz = base_hz;

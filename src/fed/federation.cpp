@@ -56,9 +56,7 @@ Federation::Federation(const core::ScenarioSpec& spec, std::uint64_t seed)
     sim::ShardedConfig kcfg;
     kcfg.shards = static_cast<std::size_t>(config_.shards);
     kcfg.threads = static_cast<std::size_t>(config_.threads);
-    kcfg.policy = config_.lax ? sim::SyncPolicy::lax_window : sim::SyncPolicy::strict_barrier;
-    kcfg.lookahead = config_.lookahead;
-    kcfg.skew_window = config_.skew_window;
+    kcfg.lookahead = core::kShardLookahead;
     build_cells();  // sizes the population the mailboxes must absorb
     // Worst case every client roams inside one quantum.
     kcfg.mailbox_capacity = std::max<std::size_t>(4096, population_);
@@ -202,7 +200,7 @@ void Federation::post_handoff(std::uint32_t from_ap, std::uint32_t to_ap,
     const std::size_t to = shard_of_ap(to_ap);
     // Same lookahead whether or not the cells share a shard, so the event
     // schedule is independent of the cell->shard layout.
-    const Time when = kernel_->shard(from).now() + config_.lookahead;
+    const Time when = kernel_->shard(from).now() + core::kShardLookahead;
     ApCell* dest = cells_[to_ap].get();
     if (from == to) {
         kernel_->shard(from).post_at(when, [dest, id] { dest->handoff_arrive(id); });
@@ -527,12 +525,7 @@ FederationResult Federation::run() {
     }
 
     if (!config_.health_path.empty()) health.write_file(config_.health_path);
-    // Timing (wall-clock) series stay out of the registry so the snapshot
-    // is bit-identical across worker-thread counts; health.to_json(true)
-    // carries them for callers that want the wall-clock attribution.
-    if (obs::MetricsRegistry* reg = obs::current()) {
-        kernel_->publish_metrics(*reg, /*include_timing=*/false);
-    }
+    if (obs::MetricsRegistry* reg = obs::current()) kernel_->publish_metrics(*reg);
 
     return {std::move(res), pop, std::move(health)};
 }

@@ -190,6 +190,7 @@ EcMacStation::EcMacStation(sim::Simulator& sim, Bss& bss, StationId id, EcMacCon
       config_(config),
       nic_(sim, nic_config, phy::WlanNic::State::doze) {
     WLANPS_REQUIRE(id != kApId && id != kBroadcast);
+    WLANPS_REQUIRE(config_.superframe > Time::zero());
     bss_.attach(id, *this);
 }
 
@@ -199,6 +200,9 @@ void EcMacStation::start(Time first_boundary) {
 }
 
 void EcMacStation::wake_for_boundary() {
+    // Slots that overran the superframe leave next_boundary_ behind: catch
+    // the first boundary still in the future.
+    while (next_boundary_ <= sim_.now()) next_boundary_ += config_.superframe;
     const Time margin = nic_.config().doze_wake_latency + Time::from_ms(1);
     Time wake_at = next_boundary_ - margin;
     if (wake_at < sim_.now()) wake_at = sim_.now();

@@ -16,12 +16,6 @@ void append_u64(std::string& out, const char* key, std::uint64_t value) {
     out += "\":" + std::to_string(value);
 }
 
-void append_i64(std::string& out, const char* key, std::int64_t value) {
-    out += "\"";
-    out += key;
-    out += "\":" + std::to_string(value);
-}
-
 void append_num(std::string& out, const char* key, double value) {
     out += "\"";
     out += key;
@@ -45,8 +39,7 @@ void HealthReport::set_watchdog(const Watchdog& watchdog) {
 }
 
 std::string HealthReport::to_json(bool include_timing) const {
-    std::string out = "{\"scope\":\"" + json_escape(scope) + "\"";
-    out += ",\"policy\":\"" + json_escape(policy) + "\",";
+    std::string out = "{\"scope\":\"" + json_escape(scope) + "\",";
     append_u64(out, "shards", shards);
     out += ",";
     append_u64(out, "quanta", quanta);
@@ -75,11 +68,7 @@ std::string HealthReport::to_json(bool include_timing) const {
         out += ",";
         append_u64(out, "cross_received", sh.cross_received);
         out += ",";
-        append_u64(out, "cross_late", sh.cross_late);
-        out += ",";
         append_u64(out, "mailbox_peak", sh.mailbox_peak);
-        out += ",";
-        append_i64(out, "max_skew_ns", sh.max_skew_ns);
         out += ",";
         append_u64(out, "busy_quanta", sh.busy_quanta);
         out += ",";

@@ -12,8 +12,8 @@
 /// BENCH_*.json counters.
 ///
 /// Determinism: to_json(false) — the default export — contains only
-/// fields that are bit-identical across worker-thread counts on
-/// strict-barrier runs (event counts, mailbox peaks, watchdog state).
+/// fields that are bit-identical across worker-thread counts (event
+/// counts, mailbox peaks, watchdog state).
 /// to_json(true) appends the wall-clock "timing" section (barrier wait,
 /// dispatch/flush attribution, time-based imbalance); CI determinism
 /// gates must not compare that section.
@@ -39,9 +39,7 @@ struct ShardHealth {
     std::uint64_t events = 0;
     std::uint64_t cross_sent = 0;
     std::uint64_t cross_received = 0;
-    std::uint64_t cross_late = 0;
     std::uint64_t mailbox_peak = 0;
-    std::int64_t max_skew_ns = 0;
     std::uint64_t busy_quanta = 0;
     std::uint64_t max_events_quantum = 0;
     std::uint64_t dispatch_ns = 0;  ///< timing section only
@@ -64,8 +62,7 @@ struct CellHealth {
 
 /// The full rollup for one run.
 struct HealthReport {
-    std::string scope;   ///< "sharded-hotspot" | "federation" | run label
-    std::string policy;  ///< kernel sync policy ("strict-barrier" | "lax-window")
+    std::string scope;  ///< "sharded-hotspot" | "federation" | run label
     std::uint64_t shards = 0;
     /// Resolved worker threads (0 = inline).  Reported in the timing
     /// section only: the deterministic JSON body must be byte-identical

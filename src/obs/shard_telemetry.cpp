@@ -68,11 +68,6 @@ void ShardTelemetry::commit_quantum() {
     }
 }
 
-void ShardTelemetry::record_barrier_wait(std::uint64_t ns) {
-    barrier_wait_ns_.record(static_cast<double>(ns));
-    barrier_wait_total_ns_ += ns;
-}
-
 double ShardTelemetry::imbalance_index() const {
     if (sum_events_ == 0) return 0.0;
     const double mean_sum =
@@ -113,17 +108,6 @@ void ShardTelemetry::publish(MetricsRegistry& registry) const {
     }
     registry.gauge("sim.shard.imbalance.index").set(imbalance_index());
     registry.histogram("sim.shard.imbalance.skew").merge_from(skew_);
-}
-
-void ShardTelemetry::publish_timing(MetricsRegistry& registry) const {
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-        const Lane& lane = lanes_[i];
-        const std::string prefix = "sim.shard." + std::to_string(i) + ".";
-        registry.counter(prefix + "dispatch_ns").add(lane.dispatch_ns);
-        registry.counter(prefix + "flush_ns").add(lane.flush_ns);
-    }
-    registry.gauge("sim.shard.imbalance.index_ns").set(imbalance_index_ns());
-    registry.histogram("sim.shard.telemetry.barrier_wait_ns").merge_from(barrier_wait_ns_);
 }
 
 }  // namespace wlanps::obs

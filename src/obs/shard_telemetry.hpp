@@ -5,8 +5,8 @@
 /// The sharded kernel's existing ShardStats answer "what happened over the
 /// whole run"; adaptive quantum sizing (ROADMAP item 1) needs the next
 /// derivative — where each quantum's time went, shard by shard: dispatch
-/// vs mailbox flush vs barrier wait, events per quantum, and how skewed
-/// the load was across shards while it ran.  A ShardTelemetry instance is
+/// vs mailbox flush, events per quantum, and how skewed the load was
+/// across shards while it ran.  A ShardTelemetry instance is
 /// attached to a ShardedSimulator (sim/sharded.hpp) and fed by the
 /// coordinator after every quantum barrier; the recording call sites in
 /// the kernel compile to nothing unless the build sets WLANPS_OBS_ENABLED
@@ -14,12 +14,12 @@
 ///
 /// Determinism contract: everything derived from event counts (events per
 /// quantum, busy quanta, the skew histogram, imbalance_index()) is
-/// bit-identical across worker-thread counts under the strict barrier,
-/// because the kernel dispatches identical events per shard per quantum at
-/// every thread count.  Wall-clock lanes (dispatch_ns, flush_ns,
-/// barrier_wait_ns, imbalance_index_ns()) are inherently run-dependent and
-/// are published separately (publish_timing) so determinism gates can
-/// compare the rest.
+/// bit-identical across worker-thread counts, because the kernel
+/// dispatches identical events per shard per quantum at every thread
+/// count.  Wall-clock lanes (dispatch_ns, flush_ns, imbalance_index_ns())
+/// are inherently run-dependent: they reach the HealthReport's timing
+/// section only, never the metrics registry, so determinism gates can
+/// compare every snapshot.
 ///
 /// Cost contract: event counts are recorded every quantum (they reuse
 /// counters the kernel keeps anyway), but the dispatch/flush wall clocks
@@ -73,8 +73,6 @@ public:
                       std::uint64_t flush_ns, std::uint64_t cross_flushed);
     /// Fold the staged shards into the run accumulation and reset staging.
     void commit_quantum();
-    /// One worker's idle time at a quantum barrier (threads > 0 only).
-    void record_barrier_wait(std::uint64_t ns);
 
     // --- derived measures --------------------------------------------------
     [[nodiscard]] std::uint64_t quanta() const { return quanta_; }
@@ -87,8 +85,6 @@ public:
     [[nodiscard]] double imbalance_index_ns() const;
     /// Distribution of per-quantum max/mean event ratios (busy quanta).
     [[nodiscard]] const Histogram& skew() const { return skew_; }
-    [[nodiscard]] const Histogram& barrier_wait_ns() const { return barrier_wait_ns_; }
-    [[nodiscard]] std::uint64_t total_barrier_wait_ns() const { return barrier_wait_total_ns_; }
     [[nodiscard]] std::uint64_t total_dispatch_ns() const;
     [[nodiscard]] std::uint64_t total_flush_ns() const;
 
@@ -97,11 +93,6 @@ public:
     /// max_events_quantum,events_per_quantum}, then the aggregates
     /// sim.shard.imbalance.{index,skew}.
     void publish(MetricsRegistry& registry) const;
-    /// Fold the wall-clock lanes: per shard sim.shard.<i>.{dispatch_ns,
-    /// flush_ns}, then sim.shard.imbalance.index_ns and
-    /// sim.shard.telemetry.barrier_wait_ns.  Keep these out of snapshots
-    /// that determinism gates compare.
-    void publish_timing(MetricsRegistry& registry) const;
 
 private:
     struct Staged {
@@ -119,8 +110,6 @@ private:
     std::uint64_t sum_max_dispatch_ns_ = 0;
     std::uint64_t sum_dispatch_ns_ = 0;
     Histogram skew_;
-    Histogram barrier_wait_ns_;
-    std::uint64_t barrier_wait_total_ns_ = 0;
 };
 
 }  // namespace wlanps::obs

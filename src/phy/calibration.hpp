@@ -51,6 +51,8 @@ inline constexpr Rate kWlanRate2 = Rate::from_mbps(2.0);
 inline constexpr Rate kWlanRate55 = Rate::from_mbps(5.5);
 inline constexpr Rate kWlanRate11 = Rate::from_mbps(11.0);
 
+/// One 802.11 time unit (TU), the unit beacon intervals are counted in.
+inline constexpr Time kWlanTimeUnit = Time::from_us(1024);
 /// Default beacon interval (102.4 ms = 100 TU) and TIM listen interval.
 inline constexpr Time kWlanBeaconInterval = Time::from_us(102400);
 

@@ -33,8 +33,8 @@ PolicyKind parse_power_policy(std::string_view name) {
 }
 
 void PowerPolicyConfig::validate() const {
-    WLANPS_REQUIRE_MSG(beacon_interval > Time::zero(),
-                       "power-policy beacon_interval must be positive");
+    WLANPS_REQUIRE_MSG(beacon_interval >= phy::calibration::kWlanTimeUnit,
+                       "power-policy beacon_interval must be >= 1 TU (1.024 ms)");
     WLANPS_REQUIRE_MSG(uplink_period >= Time::zero(),
                        "uplink_period must be >= 0 (zero disables uplink)");
     if (!uplink_period.is_zero()) {

@@ -20,24 +20,10 @@ namespace {
 
 }  // namespace
 
-const char* to_string(SyncPolicy policy) {
-    return policy == SyncPolicy::strict_barrier ? "strict-barrier" : "lax-window";
-}
-
 void ShardedConfig::validate() const {
     WLANPS_REQUIRE_MSG(shards >= 1, "need at least one shard");
     WLANPS_REQUIRE_MSG(lookahead > Time::zero(), "cross-shard lookahead must be positive");
     WLANPS_REQUIRE_MSG(mailbox_capacity >= 1, "mailbox capacity must be positive");
-    if (policy == SyncPolicy::lax_window && !skew_window.is_zero()) {
-        WLANPS_REQUIRE_MSG(skew_window >= lookahead,
-                           "lax skew window narrower than the lookahead would synchronize "
-                           "more often than strict mode — use strict_barrier instead");
-    }
-    if (policy == SyncPolicy::strict_barrier) {
-        WLANPS_REQUIRE_MSG(skew_window.is_zero(),
-                           "skew_window is a lax_window knob; strict_barrier derives its "
-                           "quantum from the lookahead");
-    }
 }
 
 ShardedSimulator::ShardedSimulator(ShardedConfig config) : config_(config) {
@@ -111,21 +97,9 @@ void ShardedSimulator::flush_inbox(Shard& sh) {
     std::sort(batch.begin(), batch.end(), &cross_less);
     const Time local_now = sh.sim.now();
     for (CrossEvent& ev : batch) {
-        Time when = ev.when;
-        if (when < local_now) {
-            // Only reachable in lax mode (quantum wider than the
-            // lookahead): the sender's quantum outran this timestamp.
-            // Bump to the quantum boundary — deterministic, and bounded
-            // by window - lookahead.
-            WLANPS_REQUIRE_MSG(config_.policy == SyncPolicy::lax_window,
-                               "strict-barrier invariant broken: late cross-shard event");
-            const std::int64_t late = (local_now - when).ns();
-            ++sh.stats.cross_late;
-            sh.stats.max_skew_ns = std::max(sh.stats.max_skew_ns, late);
-            sh.skew_ns.record(static_cast<double>(late));
-            when = local_now;
-        }
-        sh.sim.post_at(when, std::move(ev.callback));
+        WLANPS_REQUIRE_MSG(ev.when >= local_now,
+                           "barrier invariant broken: late cross-shard event");
+        sh.sim.post_at(ev.when, std::move(ev.callback));
         ++sh.stats.cross_received;
     }
 }
@@ -230,12 +204,7 @@ void ShardedSimulator::run_quantum(Time quantum_end) {
     lock.unlock();
     const std::uint64_t all_done = steady_ns();
     for (std::size_t w = 0; w < worker_count_; ++w) {
-        const std::uint64_t finished = worker_finish_ns_[w];
-        const std::uint64_t waited = all_done - std::min(finished, all_done);
-        barrier_wait_ns_.record(static_cast<double>(waited));
-#if defined(WLANPS_OBS_ENABLED)
-        if (telemetry_ != nullptr) telemetry_->record_barrier_wait(waited);
-#endif
+        barrier_wait_ns_ += all_done - std::min(worker_finish_ns_[w], all_done);
     }
 #if defined(WLANPS_OBS_ENABLED)
     // The workers' q_* staging writes happen-before this read via the
@@ -287,7 +256,6 @@ void ShardedSimulator::worker_loop(std::size_t worker) {
 void ShardedSimulator::run_until(Time horizon) {
     WLANPS_REQUIRE_MSG(horizon >= now_, "horizon in the past");
     if (worker_count_ > 0 && workers_.empty()) start_workers();
-    const Time quantum = config_.quantum();
     while (now_ < horizon) {
         // Idle jump: when every shard's next event (and every mailbox
         // entry) lies beyond the next boundary, start the quantum at the
@@ -299,7 +267,7 @@ void ShardedSimulator::run_until(Time horizon) {
             start = std::min(frontier, horizon);
             ++idle_jumps_;
         }
-        Time quantum_end = start + quantum;
+        Time quantum_end = start + config_.lookahead;
         if (quantum_end > horizon || quantum_end < start) quantum_end = horizon;
         run_quantum(quantum_end);
         now_ = quantum_end;
@@ -320,42 +288,31 @@ std::uint64_t ShardedSimulator::total_dispatched() const {
     return total;
 }
 
-void ShardedSimulator::publish_metrics(obs::MetricsRegistry& registry,
-                                       bool include_timing) const {
+void ShardedSimulator::publish_metrics(obs::MetricsRegistry& registry) const {
     obs::Histogram& dispatched = registry.histogram("sim.shard.dispatched");
     obs::Gauge& depth_peak = registry.gauge("sim.shard.mailbox_depth_peak");
     obs::Gauge& depth_now = registry.gauge("sim.shard.mailbox_depth");
     std::uint64_t cross = 0;
-    std::uint64_t late = 0;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         const Shard& sh = *shards_[i];
         dispatched.record(static_cast<double>(sh.sim.events_dispatched()));
         depth_peak.set(static_cast<double>(sh.stats.mailbox_peak));
         depth_now.set(static_cast<double>(sh.inbox.size()));
         cross += sh.stats.cross_sent;
-        late += sh.stats.cross_late;
-        registry.histogram("sim.shard.skew_ns").merge_from(sh.skew_ns);
     }
     registry.counter("sim.shard.cross_events").add(cross);
-    registry.counter("sim.shard.cross_late").add(late);
     registry.counter("sim.shard.quanta").add(quanta_);
     registry.counter("sim.shard.idle_jumps").add(idle_jumps_);
-    if (include_timing) {
-        registry.histogram("sim.shard.barrier_wait_ns").merge_from(barrier_wait_ns_);
-    }
-    if (telemetry_ != nullptr) {
-        telemetry_->publish(registry);
-        if (include_timing) telemetry_->publish_timing(registry);
-    }
+    if (telemetry_ != nullptr) telemetry_->publish(registry);
 }
 
 void ShardedSimulator::fill_health(obs::HealthReport& report) const {
-    report.policy = to_string(config_.policy);
     report.shards = shards_.size();
     report.workers = worker_count_;
     report.quanta = quanta_;
     report.idle_jumps = idle_jumps_;
     report.events = 0;
+    report.barrier_wait_ns = barrier_wait_ns_;
     report.per_shard.clear();
     report.per_shard.reserve(shards_.size());
     std::uint64_t max_shard_events = 0;
@@ -366,9 +323,7 @@ void ShardedSimulator::fill_health(obs::HealthReport& report) const {
         h.events = sh.sim.events_dispatched();
         h.cross_sent = sh.stats.cross_sent;
         h.cross_received = sh.stats.cross_received;
-        h.cross_late = sh.stats.cross_late;
         h.mailbox_peak = sh.stats.mailbox_peak;
-        h.max_skew_ns = sh.stats.max_skew_ns;
         report.events += h.events;
         max_shard_events = std::max(max_shard_events, h.events);
         report.per_shard.push_back(h);
@@ -387,7 +342,6 @@ void ShardedSimulator::fill_health(obs::HealthReport& report) const {
         report.skew_count = tel->skew().count();
         report.skew_mean = tel->skew().mean();
         report.skew_max = tel->skew().max();
-        report.barrier_wait_ns = tel->total_barrier_wait_ns();
         report.dispatch_ns = tel->total_dispatch_ns();
         report.flush_ns = tel->total_flush_ns();
         report.imbalance_index_ns = tel->imbalance_index_ns();
@@ -401,7 +355,6 @@ void ShardedSimulator::fill_health(obs::HealthReport& report) const {
                 : static_cast<double>(max_shard_events) /
                       (static_cast<double>(report.events) /
                        static_cast<double>(shards_.size()));
-        report.barrier_wait_ns = static_cast<std::uint64_t>(barrier_wait_ns_.sum());
     }
 }
 

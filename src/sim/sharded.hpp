@@ -10,19 +10,13 @@
 /// sender sequence) order, so the execution is bit-reproducible at every
 /// worker-thread count, including the inline threads=0 reference.
 ///
-/// Two synchronization policies (DESIGN.md §12):
-///   * strict_barrier — quantum = the declared cross-shard lookahead.  A
-///     message sent at local time t carries a timestamp >= t + lookahead,
-///     which is >= the end of the sending quantum, so flushing inboxes at
-///     the next quantum start never delivers into a shard's past: the
-///     parallel run dispatches exactly the events, in exactly the order,
-///     of the sequential (threads=0) execution of the same sharded world.
-///   * lax_window — quantum = a clock-skew window wider than the
-///     lookahead.  Fewer barriers (window/lookahead x), but a message may
-///     arrive after its timestamp; it is then bumped to the receiving
-///     shard's current time (a quantum boundary, hence still
-///     deterministic), introducing a bounded timestamp error
-///     <= window - lookahead that is measured and published.
+/// The quantum is the declared cross-shard lookahead (DESIGN.md §12).  A
+/// message sent at local time t carries a timestamp >= t + lookahead,
+/// which is >= the end of the sending quantum, so flushing inboxes at the
+/// next quantum start never delivers into a shard's past: the parallel
+/// run dispatches exactly the events, in exactly the order, of the
+/// sequential (threads=0) execution of the same sharded world.  A late
+/// cross-shard event is a contract violation.
 ///
 /// The kernel is workload-agnostic: core/hotspot_world.cpp builds the
 /// multi-cell hotspot scenario on top of it.
@@ -49,44 +43,24 @@ struct HealthReport;
 
 namespace wlanps::sim {
 
-/// How shard clocks are kept consistent.
-enum class SyncPolicy {
-    strict_barrier,  ///< quantum = lookahead; bit-identical to sequential
-    lax_window,      ///< quantum = skew window; bounded timestamp error
-};
-
-[[nodiscard]] const char* to_string(SyncPolicy policy);
-
 /// Sharded-execution parameters.
 struct ShardedConfig {
     std::size_t shards = 1;
     /// Worker threads.  0 = run every quantum inline on the calling
     /// thread, shards in index order — the sequential reference execution
-    /// the strict policy is bit-identical to.
+    /// every thread count is bit-identical to.
     std::size_t threads = 0;
-    SyncPolicy policy = SyncPolicy::strict_barrier;
     /// Minimum delay of any cross-shard event, measured from the sender's
-    /// local clock at post time.  Also the strict-mode quantum.
+    /// local clock at post time.  Also the quantum.
     Time lookahead = Time::from_ms(10);
-    /// Lax-mode quantum (ignored under strict_barrier).  Zero = lookahead,
-    /// which makes lax execution coincide with strict.
-    Time skew_window = Time::zero();
     /// Per-shard mailbox capacity; exceeding it is a contract violation
     /// (deterministic, not a silent drop).
     std::size_t mailbox_capacity = 4096;
 
     ShardedConfig& with_shards(std::size_t v) { shards = v; return *this; }
     ShardedConfig& with_threads(std::size_t v) { threads = v; return *this; }
-    ShardedConfig& with_policy(SyncPolicy v) { policy = v; return *this; }
     ShardedConfig& with_lookahead(Time v) { lookahead = v; return *this; }
-    ShardedConfig& with_skew_window(Time v) { skew_window = v; return *this; }
     ShardedConfig& with_mailbox_capacity(std::size_t v) { mailbox_capacity = v; return *this; }
-
-    /// The quantum the sync loop actually uses.
-    [[nodiscard]] Time quantum() const {
-        if (policy == SyncPolicy::lax_window && !skew_window.is_zero()) return skew_window;
-        return lookahead;
-    }
 
     void validate() const;
 };
@@ -96,9 +70,7 @@ struct ShardStats {
     std::uint64_t events_dispatched = 0;
     std::uint64_t cross_sent = 0;      ///< cross-shard events this shard posted
     std::uint64_t cross_received = 0;  ///< cross-shard events flushed into it
-    std::uint64_t cross_late = 0;      ///< lax: arrivals bumped to the quantum start
     std::size_t mailbox_peak = 0;      ///< high-water inbox depth
-    std::int64_t max_skew_ns = 0;      ///< lax: worst timestamp bump
 };
 
 /// N private Simulators in barrier-quantum lockstep.  Not copyable.
@@ -145,8 +117,6 @@ public:
     /// Quanta whose start was fast-forwarded over an empty window.
     [[nodiscard]] std::uint64_t idle_jumps() const { return idle_jumps_; }
     [[nodiscard]] std::uint64_t total_dispatched() const;
-    /// Per-worker idle time at each quantum barrier (threads > 0 only).
-    [[nodiscard]] const obs::Histogram& barrier_wait_ns() const { return barrier_wait_ns_; }
 
     /// Attach per-quantum attribution (obs/shard_telemetry.hpp).  The
     /// telemetry object must outlive every run_until(); recording sites
@@ -159,16 +129,18 @@ public:
     /// Fold sharded-execution metrics into \p registry:
     ///   sim.shard.dispatched (histogram across shards),
     ///   sim.shard.mailbox_depth_peak / .mailbox_depth (gauges),
-    ///   sim.shard.cross_events / .cross_late / .quanta /
-    ///   .idle_jumps (counters), sim.shard.skew_ns and — only with
-    ///   \p include_timing — sim.shard.barrier_wait_ns (histograms).
+    ///   sim.shard.cross_events / .quanta / .idle_jumps (counters), and
+    ///   the attached telemetry's deterministic lanes.  Wall-clock
+    ///   timing reaches the HealthReport only (fill_health), so the
+    ///   snapshot is bit-identical across worker-thread counts.
     /// Call from the owning thread after run_until().
-    void publish_metrics(obs::MetricsRegistry& registry, bool include_timing = true) const;
+    void publish_metrics(obs::MetricsRegistry& registry) const;
 
     /// Fill the kernel section of \p report: shard/worker/quantum counts,
     /// per-shard rollups (ShardStats always; telemetry lanes and the
-    /// wall-clock timing section when telemetry ran), and the imbalance
-    /// index — per-quantum when telemetry ran, whole-run otherwise.
+    /// dispatch/flush timing when telemetry ran), the barrier-wait total,
+    /// and the imbalance index — per-quantum when telemetry ran, whole-run
+    /// otherwise.
     /// Call from the owning thread after run_until().
     void fill_health(obs::HealthReport& report) const;
 
@@ -190,7 +162,6 @@ private:
     struct Shard {
         Simulator sim;
         ShardStats stats;
-        obs::Histogram skew_ns;  // lax: distribution of timestamp bumps
         std::uint64_t send_seq = 0;  // written only by the owning thread
 
         std::mutex inbox_mutex;
@@ -221,7 +192,7 @@ private:
     Time now_ = Time::zero();
     std::uint64_t quanta_ = 0;
     std::uint64_t idle_jumps_ = 0;
-    obs::Histogram barrier_wait_ns_;  // recorded by the owning thread
+    std::uint64_t barrier_wait_ns_ = 0;  // summed over workers and quanta; owning thread
     obs::ShardTelemetry* telemetry_ = nullptr;  // optional, owned by the caller
     // Telemetry timing stride (obs builds): set by the coordinator at the
     // top of each quantum, read by shard drivers under the barrier's

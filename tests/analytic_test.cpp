@@ -345,6 +345,42 @@ TEST(ScenarioSpecValidation, RejectsBadPsmParameters) {
                      .with_psm(bad)
                      .validate(),
                  ContractViolation);
+    // Beacon intervals are counted in 802.11 time units: below one TU a
+    // run would only exhaust memory.
+    const auto psm_with_beacon = [](Time beacon) {
+        return core::ScenarioSpec::psm()
+            .with_stream(stream(1, 60))
+            .with_psm(core::PsmConfig{}.with_beacon_interval(beacon));
+    };
+    EXPECT_THROW(psm_with_beacon(Time::from_ns(100)).validate(), ContractViolation);
+    EXPECT_NO_THROW(psm_with_beacon(cal::kWlanTimeUnit).validate());
+}
+
+TEST(ScenarioSpecValidation, RejectsNonPositiveHotspotSizesAndRates) {
+    const auto hotspot_with = [](core::HotspotConfig options) {
+        return core::ScenarioSpec::hotspot().with_stream(stream(1, 60)).with_hotspot(options);
+    };
+    // Negative, and positive but below the server's 4 KB minimum burst.
+    for (const DataSize burst : {DataSize::from_kilobytes(-5), DataSize::from_bytes(1)}) {
+        EXPECT_THROW(
+            hotspot_with(core::HotspotConfig{}.with_target_burst(burst)).validate(),
+            ContractViolation)
+            << burst.str();
+    }
+    EXPECT_NO_THROW(
+        hotspot_with(core::HotspotConfig{}.with_target_burst(DataSize::from_kilobytes(8)))
+            .validate());
+    // The proxy needs 0 < audio_rate < av_rate.
+    const auto proxy_with = [&](double av_kbps, double audio_kbps) {
+        core::MediaProxy::Config proxy;
+        proxy.av_rate = Rate::from_kbps(av_kbps);
+        proxy.audio_rate = Rate::from_kbps(audio_kbps);
+        return hotspot_with(core::HotspotConfig{}.with_media_proxy(proxy));
+    };
+    EXPECT_THROW(proxy_with(-128, -256).validate(), ContractViolation);
+    EXPECT_THROW(proxy_with(600, -128).validate(), ContractViolation);
+    EXPECT_THROW(proxy_with(600, 600).validate(), ContractViolation);
+    EXPECT_NO_THROW(proxy_with(600, 128).validate());
 }
 
 TEST(ScenarioSpecValidation, RejectsHotspotWithNoInterfaces) {

@@ -78,17 +78,19 @@ TEST(FederationSpecTest, MoreShardsThanApsAreRejected) {
     EXPECT_THROW(small_spec(cfg).validate(), ContractViolation);
 }
 
-TEST(FederationSpecTest, SkewWindowNarrowerThanLookaheadIsRejected) {
+TEST(FederationSpecTest, NegativeSizesAndRatesAreRejected) {
+    const Rate negative_rate = Rate::from_kbps(-128);
     auto cfg = small_config();
-    cfg.lax = true;
-    cfg.lookahead = Time::from_ms(20);
-    cfg.skew_window = Time::from_ms(10);
+    cfg.stream_rate = negative_rate;
     EXPECT_THROW(small_spec(cfg).validate(), ContractViolation);
-}
-
-TEST(FederationSpecTest, SkewWindowWithoutLaxIsRejected) {
-    auto cfg = small_config();
-    cfg.skew_window = Time::from_ms(50);  // lax left false
+    cfg = small_config();
+    cfg.target_burst = DataSize::from_kilobytes(-48);
+    EXPECT_THROW(small_spec(cfg).validate(), ContractViolation);
+    cfg = small_config();
+    cfg.radio_goodput = negative_rate;
+    EXPECT_THROW(small_spec(cfg).validate(), ContractViolation);
+    cfg = small_config();
+    cfg.backhaul_rate = negative_rate;
     EXPECT_THROW(small_spec(cfg).validate(), ContractViolation);
 }
 
@@ -120,13 +122,6 @@ TEST(ShardingSpecTest, HotspotThreadsBeyondShardsAreRejected) {
     core::HotspotConfig options;
     options.sharding = core::ShardingConfig{}.with_shards(2).with_threads(4);
     EXPECT_THROW(options.sharding.validate(), ContractViolation);
-}
-
-TEST(ShardingSpecTest, HotspotSkewWindowFloorIsLookahead) {
-    core::ShardingConfig sharding;
-    sharding.with_shards(2).with_lax(true).with_lookahead(Time::from_ms(20));
-    sharding.skew_window = Time::from_ms(5);
-    EXPECT_THROW(sharding.validate(), ContractViolation);
 }
 
 // --- slab budget ---------------------------------------------------------

@@ -5,6 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/backend.hpp"
+#include "core/scenario_spec.hpp"
 #include "mac/bss.hpp"
 #include "mac/ecmac.hpp"
 #include "sim/simulator.hpp"
@@ -144,6 +146,27 @@ TEST(EcMacTest, PerStationQuotaCapsSlot) {
     w.sim.run_until(Time::from_seconds(2));
     EXPECT_EQ(w.controller->buffered(1), 0u);
     EXPECT_EQ(w.stations[0]->frames_received(), static_cast<std::uint64_t>(frames));
+}
+
+TEST(EcMacTest, ScheduleOverrunningItsSuperframeRunsToCompletion) {
+    const core::SimBackend backend;
+    // 30 MP3 clients book more slot time than the default 100 ms
+    // superframe holds: a station whose slot ends past the next boundary
+    // must wait for the first boundary still ahead.
+    const core::ScenarioSpec crowded =
+        core::ScenarioSpec::ecmac().with_clients(30).with_duration(Time::from_seconds(5));
+    crowded.validate();
+    const core::ScenarioResult result = backend.run(crowded);
+    ASSERT_EQ(result.clients.size(), 30u);
+    for (const core::ClientMetrics& c : result.clients) EXPECT_GT(c.received.bytes(), 0);
+    // Slots overrun a 1 ms superframe throughout the run, which must
+    // still complete.
+    const core::ScenarioSpec short_superframe =
+        core::ScenarioSpec::ecmac()
+            .with_ecmac(core::EcmacConfig{}.with_superframe(1_ms))
+            .with_duration(Time::from_seconds(20));
+    short_superframe.validate();
+    EXPECT_EQ(backend.run(short_superframe).clients.size(), 3u);
 }
 
 }  // namespace

@@ -31,7 +31,6 @@ std::uint64_t run_policy_grid(PolicyKind kind, std::size_t threads,
     sim::ShardedConfig config;
     config.shards = kShards;
     config.threads = threads;
-    config.policy = sim::SyncPolicy::strict_barrier;
     config.lookahead = Time::from_ms(10);
     sim::ShardedSimulator shx(config);
 

@@ -452,6 +452,20 @@ TEST(PolicyValidateTest, RefusesUplinkOnAliasKinds) {
                         .validate());
 }
 
+// --- validate(): beacon interval floor ----------------------------------
+
+TEST(PolicyValidateTest, RejectsBeaconIntervalBelowOneTimeUnit) {
+    using policy::PolicyKind;
+    for (const auto kind : {PolicyKind::psm, PolicyKind::pamas}) {
+        auto power = policy::PowerPolicyConfig::of(kind);
+        power.beacon_interval = Time::from_ns(100);
+        EXPECT_THROW(policy_spec(power).validate(), ContractViolation)
+            << policy::to_string(kind);
+        power.beacon_interval = cal::kWlanTimeUnit;
+        EXPECT_NO_THROW(policy_spec(power).validate()) << policy::to_string(kind);
+    }
+}
+
 // --- validate(): μNap transition-cost guard -------------------------------
 
 TEST(PolicyValidateTest, RejectsNapTableThatCannotAmortizeInsideABeacon) {

@@ -1,9 +1,8 @@
-/// Sharded parallel kernel tests: the strict barrier policy must be
+/// Sharded parallel kernel tests: the barrier-quantum kernel must be
 /// bit-identical to the inline (threads=0) execution of the same sharded
 /// world at every worker-thread count, mailboxes must merge in
-/// deterministic (time, source, sequence) order, contract violations
-/// (lookahead, capacity) must fail loudly, and the lax clock-skew policy
-/// must keep its bounded-error promise.  Scenario-level tests drive the
+/// deterministic (time, source, sequence) order, and contract violations
+/// (lookahead, capacity) must fail loudly.  Scenario-level tests drive the
 /// same checks through the sharded multi-cell hotspot.
 
 #include <gtest/gtest.h>
@@ -72,14 +71,11 @@ struct RingRun {
     std::vector<ShardStats> stats;
 };
 
-RingRun run_ring(std::size_t shards, std::size_t threads, SyncPolicy policy,
-                 Time skew_window = Time::zero()) {
+RingRun run_ring(std::size_t shards, std::size_t threads) {
     ShardedConfig config;
     config.shards = shards;
     config.threads = threads;
-    config.policy = policy;
     config.lookahead = kLookahead;
-    config.skew_window = skew_window;
     RingWorld world(config);
     world.seed_tokens();
     world.shx.run_until(Time::from_seconds(2));
@@ -98,18 +94,16 @@ void expect_same_run(const RingRun& a, const RingRun& b, const char* what) {
         EXPECT_EQ(a.stats[s].events_dispatched, b.stats[s].events_dispatched) << what << s;
         EXPECT_EQ(a.stats[s].cross_sent, b.stats[s].cross_sent) << what << s;
         EXPECT_EQ(a.stats[s].cross_received, b.stats[s].cross_received) << what << s;
-        EXPECT_EQ(a.stats[s].cross_late, b.stats[s].cross_late) << what << s;
     }
 }
 
 TEST(ShardedKernelTest, StrictBitIdentityAcrossThreadCounts) {
-    const RingRun reference = run_ring(3, 0, SyncPolicy::strict_barrier);
+    const RingRun reference = run_ring(3, 0);
     EXPECT_GT(reference.fingerprint, 0u);
     EXPECT_GT(reference.stats[0].cross_received, 0u);
     for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-        const RingRun parallel = run_ring(3, threads, SyncPolicy::strict_barrier);
+        const RingRun parallel = run_ring(3, threads);
         expect_same_run(reference, parallel, "threads mismatch vs inline, shard ");
-        for (const ShardStats& s : parallel.stats) EXPECT_EQ(s.cross_late, 0u);
     }
 }
 
@@ -117,8 +111,8 @@ TEST(ShardedKernelTest, StrictIdenticalForDifferentShardCountsOfSameRing) {
     // Not required to match across *shard* counts (different worlds), but
     // each shard count must be self-consistent across thread counts.
     for (std::size_t shards : {2u, 5u, 8u}) {
-        const RingRun reference = run_ring(shards, 0, SyncPolicy::strict_barrier);
-        const RingRun parallel = run_ring(shards, 4, SyncPolicy::strict_barrier);
+        const RingRun reference = run_ring(shards, 0);
+        const RingRun parallel = run_ring(shards, 4);
         expect_same_run(reference, parallel, "shards self-consistency, shard ");
     }
 }
@@ -203,53 +197,10 @@ TEST(ShardedKernelTest, IdleQuantaAreJumpedDeterministically) {
     }
 }
 
-TEST(ShardedKernelTest, LaxWindowBoundsTimestampError) {
-    const Time window = Time::from_ms(40);
-    ShardedConfig config;
-    config.shards = 2;
-    config.policy = SyncPolicy::lax_window;
-    config.lookahead = kLookahead;
-    config.skew_window = window;
-    ShardedSimulator shx(config);
-    Time delivered_at = Time::zero();
-    // Anchor the first window at t=0 (otherwise the idle jump would start
-    // it at the first pending event and shift every boundary).
-    shx.shard(0).post_at(Time::zero(), [] {});
-    // Sent mid-window at t=11ms with when=21ms: the receiver only flushes
-    // at the next window boundary (t=40ms), so the event is late and must
-    // be bumped to exactly the boundary.
-    shx.shard(1).post_at(Time::from_ms(11), [&shx, &delivered_at] {
-        shx.post_cross(1, 0, Time::from_ms(21), [&shx, &delivered_at] {
-            delivered_at = shx.shard(0).now();
-        });
-    });
-    shx.run_until(Time::from_ms(80));
-    EXPECT_EQ(delivered_at, window);
-    const ShardStats stats = shx.stats(0);
-    EXPECT_EQ(stats.cross_late, 1u);
-    EXPECT_GT(stats.max_skew_ns, 0);
-    EXPECT_LE(stats.max_skew_ns, (window - kLookahead).ns());
-}
-
-TEST(ShardedKernelTest, LaxIsStillDeterministicAcrossThreadCounts) {
-    const RingRun reference = run_ring(4, 0, SyncPolicy::lax_window, Time::from_ms(50));
-    const RingRun parallel = run_ring(4, 4, SyncPolicy::lax_window, Time::from_ms(50));
-    expect_same_run(reference, parallel, "lax threads mismatch, shard ");
-}
-
 TEST(ShardedKernelTest, ConfigValidation) {
     EXPECT_THROW(ShardedConfig{}.with_shards(0).validate(), ContractViolation);
     EXPECT_THROW(ShardedConfig{}.with_lookahead(Time::zero()).validate(), ContractViolation);
     EXPECT_THROW(ShardedConfig{}.with_mailbox_capacity(0).validate(), ContractViolation);
-    // Lax window narrower than the lookahead would deliver into the past.
-    EXPECT_THROW(ShardedConfig{}
-                     .with_policy(SyncPolicy::lax_window)
-                     .with_skew_window(Time::from_ms(1))
-                     .validate(),
-                 ContractViolation);
-    // A skew window is meaningless under the strict policy.
-    EXPECT_THROW(ShardedConfig{}.with_skew_window(Time::from_ms(50)).validate(),
-                 ContractViolation);
     ShardedConfig ok;
     ok.shards = 4;
     ok.threads = 2;
@@ -348,27 +299,6 @@ TEST(ShardedHotspotTest, SeedSensitivity) {
     EXPECT_TRUE(any_difference) << "seed is being ignored";
 }
 
-TEST(ShardedHotspotTest, LaxPolicyRunsAndStaysDeterministic) {
-    StreamConfig stream;
-    stream.clients = 4;
-    stream.duration = Time::from_seconds(30);
-    stream.seed = 11;
-    HotspotConfig options;
-    options.sharding = ShardingConfig{}
-                           .with_shards(2)
-                           .with_lax(true)
-                           .with_lookahead(Time::from_ms(20))
-                           .with_skew_window(Time::from_ms(100));
-    const auto spec = ScenarioSpec::hotspot().with_stream(stream).with_hotspot(options);
-    const ScenarioResult inline_run = backend.run(spec);
-    HotspotConfig threaded = options;
-    threaded.sharding.threads = 2;  // validation caps workers at the shard count
-    const ScenarioResult parallel =
-        backend.run(ScenarioSpec::hotspot().with_stream(stream).with_hotspot(threaded));
-    for (const ClientMetrics& c : inline_run.clients) EXPECT_GT(c.received.bytes(), 0u);
-    expect_bit_identical(inline_run, parallel, "lax threads");
-}
-
 TEST(ShardedHotspotTest, WlanOnlySixtyFourClientSmoke) {
     StreamConfig stream;
     stream.clients = 64;
@@ -403,14 +333,6 @@ TEST(ShardedHotspotTest, ShardingRejectsIncompatibleFeatures) {
         options.sharding = ShardingConfig{}.with_shards(8);
         EXPECT_THROW(
             backend.run(ScenarioSpec::hotspot().with_stream(big).with_hotspot(options)),
-            ContractViolation);
-    }
-    {
-        // Skew window without the lax policy is a config contradiction.
-        HotspotConfig options;
-        options.sharding = ShardingConfig{}.with_shards(2).with_skew_window(Time::from_ms(50));
-        EXPECT_THROW(
-            backend.run(ScenarioSpec::hotspot().with_stream(stream).with_hotspot(options)),
             ContractViolation);
     }
 }
