@@ -23,10 +23,7 @@ ApCell::ApCell(Federation& fed, std::uint16_t ap, sim::Random rng)
       shard_(fed.shard_of_ap(ap)),
       rng_(rng.fork(kWorkloadStream)),
       fault_rng_(rng.fork(kFaultStream)),
-      arrivals_process_(fed.config().base_arrival_hz, fed.config().flash_arrival_hz,
-                        fed.config().flash_start,
-                        fed.config().flash_start + fed.config().flash_duration,
-                        rng.fork(kArrivalStream)),
+      arrival_seed_(rng.fork_seed(kArrivalStream)),
       period_(fed.config().stream_rate.transmit_time(fed.config().target_burst)) {
     WLANPS_REQUIRE_MSG(!period_.is_zero(), "federation burst period must be positive");
 }
@@ -37,10 +34,13 @@ Time ApCell::now() { return sim().now(); }
 
 std::size_t ApCell::plan_arrivals(std::uint32_t first_id, std::size_t max_arrivals) {
     first_id_ = first_id;
+    const auto& cfg = fed_.config();
+    ArrivalProcess arrivals(cfg.base_arrival_hz, cfg.flash_arrival_hz, cfg.flash_start,
+                            cfg.flash_start + cfg.flash_duration, sim::Random(arrival_seed_));
     const Time end = fed_.stream().duration;
     Time t = Time::zero();
     for (;;) {
-        t = arrivals_process_.next_after(t);
+        t = arrivals.next_after(t);
         if (t >= end) break;
         if (planned_at_.size() >= max_arrivals) {
             ++truncated_;
@@ -325,20 +325,6 @@ bool ApCell::owns(std::uint32_t id) const {
     }
 }
 
-void ApCell::lockup_all(Time until) {
-    auto& sl = slab();
-    const std::size_t n = sl.capacity();
-    for (std::size_t i = 0; i < n; ++i) {
-        // Acquire so a row admitted on another shard is seen with its
-        // matching current_ap (see client_slab.hpp).
-        const auto st = static_cast<ClientState>(
-            sl.state[i].load(std::memory_order_acquire));
-        if (st != ClientState::associated) continue;
-        if (sl.current_ap[i].load(std::memory_order_relaxed) != ap_) continue;
-        sl.lockup_until_ns[i] = std::max(sl.lockup_until_ns[i], until.ns());
-    }
-}
-
 bool ApCell::lockup_one(std::uint32_t id, Time until) {
     if (!owns(id)) return false;
     auto& sl = slab();
@@ -381,7 +367,7 @@ bool ApCell::leave_one(std::uint32_t id) {
 
 // --- teardown / energy ----------------------------------------------------
 
-void ApCell::teardown(Time horizon) {
+void ApCell::teardown() {
     auto& sl = slab();
     if (serving_) {
         // Admitted, in service at the horizon, never resolved.
@@ -390,14 +376,6 @@ void ApCell::teardown(Time horizon) {
     }
     for (const QueueEntry& e : queue_) ++sl.bursts_shed[e.id];
     queue_.clear();
-    const std::size_t n = sl.capacity();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (sl.current_ap[i].load(std::memory_order_relaxed) != ap_) continue;
-        const ClientState st = sl.state_of(i);
-        if (st == ClientState::associated || st == ClientState::deferred) {
-            accrue(static_cast<std::uint32_t>(i), horizon);
-        }
-    }
 }
 
 double ApCell::resident_draw_w(std::uint32_t id) const {

@@ -50,8 +50,6 @@ public:
     void start();
 
     // --- fault surface (shard-local events post these) --------------------
-    /// nic-lockup every currently associated client until \p until.
-    void lockup_all(Time until);
     /// Per-client fault application; returns false (and counts a miss)
     /// when the target's row is not owned by this cell anymore.
     bool lockup_one(std::uint32_t id, Time until);
@@ -66,9 +64,10 @@ public:
     /// Handoff delivery (invoked on this cell's shard by post_handoff).
     void handoff_arrive(std::uint32_t id);
 
-    /// Owning-thread teardown: resolve queued bursts as shed, accrue
-    /// energy to \p horizon for every row this cell still owns.
-    void teardown(Time horizon);
+    /// Owning-thread teardown: resolve queued and in-service bursts as
+    /// shed.  The federation then accrues every resident row's energy to
+    /// the horizon in one slab pass.
+    void teardown();
 
     // --- cell counters (read at teardown) ----------------------------------
     [[nodiscard]] std::uint64_t arrivals() const { return arrivals_; }
@@ -132,7 +131,7 @@ private:
     std::size_t shard_;
     sim::Random rng_;
     sim::Random fault_rng_;
-    ArrivalProcess arrivals_process_;
+    std::uint64_t arrival_seed_;  ///< plan_arrivals' stream, seeded only there
     Time period_;  ///< burst cadence: time to stream one target burst
 
     // Planned (build-time) arrival schedule: ids first_id_..first_id_+n-1

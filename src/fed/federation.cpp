@@ -146,14 +146,12 @@ void Federation::plan_faults() {
             switch (spec.kind) {
                 case fault::FaultKind::nic_lockup:
                     if (spec.client == 0) {
-                        // Population-wide: replicate per cell, applied owner-side.
-                        for (auto& cptr : cells_) {
-                            ApCell* cell = cptr.get();
-                            kernel_->shard(cell->shard_).post_at(
-                                at, [cell, until, p = spec.probability] {
-                                    if (!cell->fault_roll(p)) return;
-                                    cell->lockup_all(until);
-                                    cell->count_fault(true);
+                        // Population-wide: one event per shard, applied
+                        // owner-side to the shard's cells.
+                        for (std::size_t shard = 0; shard < shard_count(); ++shard) {
+                            kernel_->shard(shard).post_at(
+                                at, [this, shard, until, p = spec.probability] {
+                                    lockup_shard(shard, p, until);
                                 });
                         }
                     } else {
@@ -191,6 +189,30 @@ void Federation::plan_faults() {
                     break;
             }
         }
+    }
+}
+
+void Federation::lockup_shard(std::size_t shard, double probability, Time until) {
+    // Roll each of the shard's cells in cell order (each on its own fault
+    // stream), then lock up the hit cells' associated rows in one sweep.
+    std::vector<std::uint8_t> hit(cells_.size(), 0);
+    bool any = false;
+    for (std::size_t ap = shard; ap < cells_.size(); ap += shard_count()) {
+        ApCell& cell = *cells_[ap];
+        if (!cell.fault_roll(probability)) continue;
+        hit[ap] = 1;
+        any = true;
+        cell.count_fault(true);
+    }
+    if (!any) return;
+    for (std::size_t i = 0; i < population_; ++i) {
+        // Acquire so a row admitted on another shard is seen with its
+        // matching current_ap (see client_slab.hpp); only this shard's
+        // cells are ever hit, so only its own rows are written.
+        const auto st = static_cast<ClientState>(slab_->state[i].load(std::memory_order_acquire));
+        if (st != ClientState::associated) continue;
+        if (hit[slab_->current_ap[i].load(std::memory_order_relaxed)] == 0) continue;
+        slab_->lockup_until_ns[i] = std::max(slab_->lockup_until_ns[i], until.ns());
     }
 }
 
@@ -235,7 +257,7 @@ void Federation::write_stream_samples(Time at) {
     st.writer.sample(st.queue_depth, t_ns, static_cast<double>(queued));
 }
 
-PopulationSummary Federation::summarize(Time horizon) {
+PopulationSummary Federation::summarize() const {
     PopulationSummary p;
     p.population = population_;
     p.arrivals_truncated = arrivals_truncated_;
@@ -248,23 +270,6 @@ PopulationSummary Federation::summarize(Time horizon) {
         p.faults_injected += cell->faults_injected();
         p.faults_missed += cell->faults_missed();
         p.peak_association = std::max(p.peak_association, cell->peak_association());
-    }
-
-    // Workers are parked: the owning thread may touch every row.  Clients
-    // whose handoff was still in flight at the horizon idle-scan to the end.
-    const double idle_w = stream_.wlan_nic.idle.watts();
-    for (std::size_t i = 0; i < population_; ++i) {
-        if (slab_->state_of(i) == ClientState::roaming) {
-            const std::int64_t dt_ns = horizon.ns() - slab_->last_accrue_ns[i];
-            if (dt_ns > 0) {
-                const double joules = idle_w * (static_cast<double>(dt_ns) * 1e-9);
-                slab_->energy_j[i] += joules;
-                slab_->last_accrue_ns[i] = horizon.ns();
-                if (double* causes = sampled_causes(static_cast<std::uint32_t>(i))) {
-                    causes[0] += joules;
-                }
-            }
-        }
     }
 
     std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
@@ -351,7 +356,7 @@ void Federation::register_watchdog_checks(obs::Watchdog& watchdog) {
 }
 
 void Federation::register_final_checks(obs::Watchdog& watchdog,
-                                       const PopulationSummary& pop, Time horizon) {
+                                       const PopulationSummary& pop) {
     // Exact conservation at teardown — the invariant WLANPS_REQUIRE used
     // to crash on; with a watchdog attached it reports instead.
     watchdog.add_check("fed.conservation_final",
@@ -378,12 +383,12 @@ void Federation::register_final_checks(obs::Watchdog& watchdog,
         return std::nullopt;
     });
     // Fingerprint stability: re-reducing the parked population must
-    // reproduce the fingerprint bit for bit (summarize is idempotent once
-    // the roaming accrual caught up).  A mismatch means state mutated
-    // after the barrier — exactly the class of bug strict mode forbids.
+    // reproduce the fingerprint bit for bit.  A mismatch means state
+    // mutated after the barrier — exactly the class of bug strict mode
+    // forbids.
     watchdog.add_check("fed.fingerprint",
-                       [this, pop, horizon]() -> std::optional<std::string> {
-                           const std::uint64_t again = summarize(horizon).fingerprint;
+                       [this, pop]() -> std::optional<std::string> {
+                           const std::uint64_t again = summarize().fingerprint;
                            if (again == pop.fingerprint) return std::nullopt;
                            return "population fingerprint unstable across reductions";
                        });
@@ -441,14 +446,30 @@ FederationResult Federation::run() {
     } else {
         kernel_->run_until(end);
     }
-    for (auto& cell : cells_) cell->teardown(end);
-    const PopulationSummary pop = summarize(end);
+    // Workers are parked: the owning thread may touch every row.  Cells
+    // shed the bursts they still hold; then one slab pass accrues every
+    // resident row to the horizon through the cell in its current_ap
+    // column (a roamer's handoff was still in flight: it idle-scans to the
+    // end).  Rows accrue independently, so the pass order is immaterial.
+    for (auto& cell : cells_) cell->teardown();
+    for (std::uint32_t id = 0; id < population_; ++id) {
+        switch (slab_->state_of(id)) {
+            case ClientState::associated:
+            case ClientState::deferred:
+            case ClientState::roaming:
+                cells_[slab_->current_ap[id].load(std::memory_order_relaxed)]->accrue(id, end);
+                break;
+            default:
+                break;
+        }
+    }
+    const PopulationSummary pop = summarize();
     if (wd != nullptr) {
         // One teardown sweep over the periodic checks plus the
         // teardown-only ones; a violated invariant becomes a structured
         // report (and flight dump) instead of a crash, so the health
         // report below still reaches the operator.
-        register_final_checks(*wd, pop, end);
+        register_final_checks(*wd, pop);
         wd->sweep(end.ns());
     } else {
         WLANPS_REQUIRE_MSG(pop.conserved(),

@@ -93,9 +93,10 @@ public:
     [[nodiscard]] const core::StreamConfig& stream() const { return stream_; }
     [[nodiscard]] ClientSlab& slab() { return *slab_; }
     [[nodiscard]] sim::ShardedSimulator& kernel() { return *kernel_; }
-    [[nodiscard]] std::size_t shard_of_ap(std::uint32_t ap) const {
-        return ap % static_cast<std::size_t>(config_.shards);
+    [[nodiscard]] std::size_t shard_count() const {
+        return static_cast<std::size_t>(config_.shards);
     }
+    [[nodiscard]] std::size_t shard_of_ap(std::uint32_t ap) const { return ap % shard_count(); }
     [[nodiscard]] ApCell& cell(std::uint32_t ap) { return *cells_[ap]; }
     [[nodiscard]] std::uint32_t ap_count() const {
         return static_cast<std::uint32_t>(cells_.size());
@@ -114,7 +115,10 @@ public:
 private:
     void build_cells();
     void plan_faults();
-    [[nodiscard]] PopulationSummary summarize(Time horizon);
+    /// Population-wide nic-lockup on \p shard: each of its cells rolls
+    /// \p probability; the hit cells' associated rows wedge until \p until.
+    void lockup_shard(std::size_t shard, double probability, Time until);
+    [[nodiscard]] PopulationSummary summarize() const;
     void write_stream_samples(Time at);
     /// Register the continuously-swept invariants (burst conservation,
     /// slab epoch monotonicity, slab state validity) with \p watchdog.
@@ -124,8 +128,7 @@ private:
     /// Register the teardown-time invariants (exact conservation,
     /// energy-ledger telescoping drift, fingerprint stability) against
     /// the finished run's \p pop; swept once after summarize().
-    void register_final_checks(obs::Watchdog& watchdog, const PopulationSummary& pop,
-                               Time horizon);
+    void register_final_checks(obs::Watchdog& watchdog, const PopulationSummary& pop);
     [[nodiscard]] obs::HealthReport build_health(const PopulationSummary& pop,
                                                  const obs::Watchdog* watchdog) const;
 

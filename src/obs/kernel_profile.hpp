@@ -53,8 +53,9 @@ public:
     /// A cancelled (tombstoned) entry was reaped without dispatching.
     void on_cancelled_reaped() { cancelled_reaped_->add(1); }
 
-    /// A calendar-queue bucket of \p entries events was lazily sorted.
-    void on_bucket_sorted(std::size_t entries) {
+    /// The dispatch cursor advanced onto a calendar-queue bucket holding
+    /// \p entries events (the wheel geometry shows up here).
+    void on_bucket_reached(std::size_t entries) {
         bucket_occupancy_->record(static_cast<double>(entries));
     }
 

@@ -26,11 +26,17 @@ public:
     /// Derive a decorrelated child stream (stable for a given parent seed
     /// and stream id) — e.g. one per client, one per channel.
     [[nodiscard]] Random fork(std::uint64_t stream_id) const {
+        return Random(fork_seed(stream_id));
+    }
+
+    /// The seed of fork(stream_id), without seeding an engine — for
+    /// holders that build the child stream later.
+    [[nodiscard]] std::uint64_t fork_seed(std::uint64_t stream_id) const {
         // SplitMix64 over (seed, id) gives well-scrambled child seeds.
         std::uint64_t z = seed_ ^ (stream_id + 0x9e3779b97f4a7c15ULL);
         z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return Random(z ^ (z >> 31));
+        return z ^ (z >> 31);
     }
 
     /// Uniform real in [0, 1).

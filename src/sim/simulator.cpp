@@ -1,6 +1,8 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <functional>
 #include <utility>
 
 #include "sim/assert.hpp"
@@ -30,59 +32,142 @@ void Simulator::grow_slab() {
     }
 }
 
-void Simulator::spill_wheel_to_overflow() {
+void Simulator::overflow_push(const Entry& entry) {
+    overflow_.push_back(entry);
+    std::push_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
+}
+
+void Simulator::post_to_overflow(const Entry& entry) {
+    overflow_push(entry);
+    // Brown-style resize trigger: once at least resize_after_ posts have
+    // been made since the last resize and most of them missed the wheel,
+    // the geometry no longer fits the queue.
+    ++overflow_posts_;
+    const std::uint64_t posts = next_seq_ - resize_seq_;
+    if (posts >= resize_after_ && 2 * overflow_posts_ > posts) resize_wheel();
+}
+
+void Simulator::resize_wheel() {
+    std::vector<Entry> queued = std::move(overflow_);
+    overflow_.clear();
+    queued.reserve(size_);
     for (Bucket& b : buckets_) {
-        for (std::size_t i = b.head; i < b.entries.size(); ++i) overflow_.push(b.entries[i]);
-        b.entries.clear();
-        b.head = 0;
-        b.sorted = false;
+        queued.insert(queued.end(), b.entries.begin() + static_cast<std::ptrdiff_t>(b.head),
+                      b.entries.end());
     }
-    occupied_.fill(0);
+
+    // Count: ~kEntriesPerBucket queued events per bucket.  Width: the
+    // smallest power of two whose span covers the lower quartile of the
+    // queued horizons, so the bulk of near-term posts land in the wheel
+    // while the long tail (timers that mostly die stale) waits in the heap.
+    const std::size_t n = queued.size();
+    const std::size_t count =
+        std::clamp(std::bit_ceil(std::max<std::size_t>(n / kEntriesPerBucket, 1)), kMinBuckets,
+                   kMaxBuckets);
+    std::vector<std::uint64_t> horizons;
+    horizons.reserve(n);
+    for (const Entry& e : queued) {
+        horizons.push_back(static_cast<std::uint64_t>(e.when.ns() - now_.ns()));
+    }
+    std::uint64_t q1 = 0;
+    if (n > 0) {
+        auto quartile = horizons.begin() + static_cast<std::ptrdiff_t>(n / 4);
+        std::nth_element(horizons.begin(), quartile, horizons.end());
+        q1 = *quartile;
+    }
+    unsigned shift = kMinWidthShift;
+    while (shift < kMaxWidthShift && (std::uint64_t{count} << shift) < q1) ++shift;
+
+    std::vector<Bucket>(count).swap(buckets_);
+    occupied_.assign(count / 64, 0);
+    bucket_mask_ = count - 1;
+    width_shift_ = shift;
+    cur_bucket_id_ = bucket_id(now_);
     wheel_count_ = 0;
+    for (const Entry& e : queued) {
+        const std::uint64_t id = bucket_id(e.when);
+        if (id - cur_bucket_id_ > bucket_mask_) {
+            overflow_.push_back(e);
+            continue;
+        }
+        const std::size_t idx = static_cast<std::size_t>(id & bucket_mask_);
+        occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+        buckets_[idx].entries.push_back(e);
+        ++wheel_count_;
+    }
+    for (Bucket& b : buckets_) std::sort(b.entries.begin(), b.entries.end(), &entry_less);
+    std::make_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
+
+    resize_seq_ = next_seq_;
+    overflow_posts_ = 0;
+    resize_after_ = std::max<std::uint64_t>(kMinResizePosts, n);
+}
+
+void Simulator::spill_bucket(std::size_t idx) {
+    Bucket& b = buckets_[idx];
+    if (b.entries.empty()) return;
+    for (std::size_t i = b.head; i < b.entries.size(); ++i) overflow_push(b.entries[i]);
+    wheel_count_ -= b.live();
+    b.entries.clear();
+    b.head = 0;
+    occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+}
+
+void Simulator::rewind_window(std::uint64_t id, const Entry& entry) {
+    // Moving the window back from [cur, cur + N) to [id, id + N) drops the
+    // buckets of ids [id + N, cur + N) off its top — the same slots as ids
+    // [id, cur) — so only those spill to the overflow; the rest stay put.
+    const std::uint64_t drop = std::min(cur_bucket_id_ - id, bucket_mask_ + 1);
+    for (std::uint64_t k = 0; k < drop && wheel_count_ > 0; ++k) {
+        spill_bucket(static_cast<std::size_t>((id + k) & bucket_mask_));
+    }
+    cur_bucket_id_ = id;
+    wheel_insert(id, entry);
 }
 
 void Simulator::migrate_overflow() {
-    const std::uint64_t end = cur_bucket_id_ + kNumBuckets;
+    const std::uint64_t end = cur_bucket_id_ + bucket_mask_ + 1;
     while (!overflow_.empty()) {
-        const Entry& top = overflow_.top();
+        const Entry& top = overflow_.front();
         const std::uint64_t id = bucket_id(top.when);
         if (id >= end) break;
         wheel_insert(id, top);
-        overflow_.pop();
+        std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
+        overflow_.pop_back();
     }
-}
-
-void Simulator::rebuild_window(std::uint64_t id, const Entry& entry) {
-    spill_wheel_to_overflow();
-    cur_bucket_id_ = id;
-    wheel_insert(id, entry);
-    migrate_overflow();
 }
 
 void Simulator::advance_cursor() {
     cur_bucket_id_ += next_occupied_delta();
     migrate_overflow();
+#if defined(WLANPS_OBS_ENABLED)
+    if (profile_ != nullptr) {
+        profile_->on_bucket_reached(
+            buckets_[static_cast<std::size_t>(cur_bucket_id_ & bucket_mask_)].live());
+    }
+#endif
 }
 
 std::size_t Simulator::next_occupied_delta() const {
     // Distance (in buckets, >= 1) from the cursor to the next nonempty
     // bucket, scanning the occupancy bitmap circularly word by word.
-    const std::size_t base = static_cast<std::size_t>(cur_bucket_id_) & kBucketMask;
-    const std::size_t first = (base + 1) & kBucketMask;
+    const std::size_t words = occupied_.size();
+    const std::size_t base = static_cast<std::size_t>(cur_bucket_id_ & bucket_mask_);
+    const std::size_t first = (base + 1) & bucket_mask_;
     std::uint64_t mask = ~std::uint64_t{0} << (first & 63);
     std::size_t word = first >> 6;
-    for (std::size_t i = 0; i <= kBitmapWords; ++i) {
+    for (std::size_t i = 0; i <= words; ++i) {
         const std::uint64_t bits = occupied_[word] & mask;
         if (bits != 0) {
             const std::size_t found =
                 (word << 6) | static_cast<std::size_t>(std::countr_zero(bits));
-            const std::size_t delta = (found - base) & kBucketMask;
+            const std::size_t delta = (found - base) & bucket_mask_;
             if (delta != 0) return delta;
         }
         mask = ~std::uint64_t{0};
-        word = (word + 1) & (kBitmapWords - 1);
+        word = (word + 1) & (words - 1);
     }
-    return kNumBuckets;  // unreachable while wheel_count_ > 0
+    return buckets_.size();  // unreachable while wheel_count_ > 0
 }
 
 EventHandle Simulator::schedule_at(Time when, InlineCallback callback) {

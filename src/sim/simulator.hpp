@@ -8,10 +8,8 @@
 /// every run with the same seed is bit-reproducible.
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -63,13 +61,16 @@ private:
 ///   * schedule_at / schedule_in — return an EventHandle for cancellation
 ///     (allocates a small shared cancellation state, as before).
 ///
-/// Ordering: the queue is a two-level calendar queue — a 256-bucket wheel
-/// covering the near future (4096 ns per bucket, ~1 ms of horizon) plus a
-/// binary-heap overflow ladder for everything beyond it.  Wheel buckets
-/// are sorted lazily when the dispatch cursor reaches them; ties at equal
-/// times break on a global insertion sequence number, so dispatch order is
-/// exactly the (time, seq) FIFO order the old binary heap produced — same
-/// events, same order, same metrics to the last bit.
+/// Ordering: the queue is a two-level calendar queue — a wheel of
+/// power-of-two buckets of power-of-two width covering the near future,
+/// plus a binary-heap overflow ladder for everything beyond it.  The wheel
+/// starts at 256 × 4096 ns (~1 ms) and sizes itself from its own queue:
+/// when most posts since the last resize went to the overflow, the bucket
+/// count and width are re-derived from the queued events (DESIGN.md §7).
+/// Buckets stay sorted by (time, seq); ties at equal times break on a
+/// global insertion sequence number, so dispatch order is exactly the
+/// (time, seq) FIFO order of a plain binary heap — same events, same
+/// order, same metrics to the last bit, at every geometry.
 class Simulator {
 public:
     Simulator() = default;
@@ -132,6 +133,13 @@ public:
         return find_min()->when;
     }
 
+    /// Wheel geometry, read-only: the bucket count and the bucket width
+    /// (both powers of two; the kernel re-derives them as it runs).
+    [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
+    [[nodiscard]] Time bucket_width() const {
+        return Time::from_ns(std::int64_t{1} << width_shift_);
+    }
+
     /// Attach a kernel profiling sink (obs/kernel_profile.hpp), or nullptr
     /// to detach.  Only WLANPS_OBS builds record into it — the attached
     /// path times every dispatched callback and tracks calendar-queue
@@ -164,25 +172,28 @@ private:
         }
     };
 
-    /// One wheel bucket: unsorted until the cursor reaches it, then kept
-    /// ascending by (when, seq) and drained through `head`, so in-order
-    /// insertions (the common case) append without shifting anything.
+    /// One wheel bucket, kept ascending by (when, seq) and drained through
+    /// `head`, so in-order insertions (the common case) append without
+    /// shifting anything.
     struct Bucket {
         std::vector<Entry> entries;
         std::size_t head = 0;  // index of the next entry to dispatch
-        bool sorted = false;
 
         [[nodiscard]] std::size_t live() const { return entries.size() - head; }
     };
 
     static constexpr std::size_t kSlabSize = 256;  // nodes per slab
-    static constexpr std::size_t kNumBuckets = 256;
-    static constexpr std::size_t kBucketMask = kNumBuckets - 1;
-    static constexpr std::size_t kBitmapWords = kNumBuckets / 64;
-    static constexpr std::int64_t kBucketWidthNs = 4096;  // ~4 us per bucket
+    // Wheel geometry bounds.  The cap keeps bucket memory bounded: every
+    // bucket vector keeps its capacity for the life of the wheel.
+    static constexpr std::size_t kMinBuckets = 256;
+    static constexpr std::size_t kMaxBuckets = 4096;
+    static constexpr unsigned kMinWidthShift = 12;  // 4096 ns buckets
+    static constexpr unsigned kMaxWidthShift = 40;  // ~18 min buckets
+    static constexpr std::size_t kEntriesPerBucket = 16;  // queued events per bucket
+    static constexpr std::uint64_t kMinResizePosts = 4096;  // floor on posts between resizes
 
-    [[nodiscard]] static std::uint64_t bucket_id(Time t) {
-        return static_cast<std::uint64_t>(t.ns()) / static_cast<std::uint64_t>(kBucketWidthNs);
+    [[nodiscard]] std::uint64_t bucket_id(Time t) const {
+        return static_cast<std::uint64_t>(t.ns()) >> width_shift_;
     }
 
     /// Ascending (when, seq) — the dispatch order.
@@ -194,8 +205,11 @@ private:
     void emplace_post(Time when, InlineCallback&& callback);
     void push_entry(Time when, Node* node);
     void wheel_insert(std::uint64_t id, const Entry& entry);
-    void rebuild_window(std::uint64_t id, const Entry& entry);
-    void spill_wheel_to_overflow();
+    void post_to_overflow(const Entry& entry);
+    void overflow_push(const Entry& entry);
+    void rewind_window(std::uint64_t id, const Entry& entry);
+    void spill_bucket(std::size_t idx);
+    void resize_wheel();
     void migrate_overflow();
     void advance_cursor();
     [[nodiscard]] std::size_t next_occupied_delta() const;
@@ -212,11 +226,19 @@ private:
     std::vector<std::unique_ptr<Node[]>> slabs_;
     Node* free_list_ = nullptr;
 
-    std::array<Bucket, kNumBuckets> buckets_;
-    std::array<std::uint64_t, kBitmapWords> occupied_{};  // nonempty-bucket bitmap
+    std::vector<Bucket> buckets_ = std::vector<Bucket>(kMinBuckets);
+    std::vector<std::uint64_t> occupied_ =  // nonempty-bucket bitmap
+        std::vector<std::uint64_t>(kMinBuckets / 64);
+    std::uint64_t bucket_mask_ = kMinBuckets - 1;
+    unsigned width_shift_ = kMinWidthShift;  // bucket width is 2^width_shift_ ns
     std::uint64_t cur_bucket_id_ = 0;  // absolute id of the drain cursor's bucket
     std::size_t wheel_count_ = 0;      // entries resident in the wheel
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> overflow_;
+    std::vector<Entry> overflow_;      // binary min-heap on (when, seq)
+    // Resize trigger: posts since the last resize (next_seq_ - resize_seq_)
+    // and how many of them went to the overflow.
+    std::uint64_t resize_seq_ = 0;
+    std::uint64_t overflow_posts_ = 0;
+    std::uint64_t resize_after_ = kMinResizePosts;  // posts before the next resize
 
     std::size_t size_ = 0;  // total queued entries (wheel + overflow)
     std::uint64_t cancelled_pending_ = 0;
@@ -281,25 +303,20 @@ inline void Simulator::release_node(Node* node) {
 }
 
 inline void Simulator::wheel_insert(std::uint64_t id, const Entry& entry) {
-    const std::size_t idx = static_cast<std::size_t>(id) & kBucketMask;
+    const std::size_t idx = static_cast<std::size_t>(id & bucket_mask_);
     Bucket& b = buckets_[idx];
+    // Keep ascending (when, seq) order.  New events carry the highest seq
+    // so far, so unless an earlier-than-tail time arrives this is a plain
+    // append.
     if (b.entries.empty()) {
         occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-        b.sorted = true;
         b.entries.push_back(entry);
-    } else if (b.sorted) {
-        // Keep ascending (when, seq) order.  New events carry the highest
-        // seq so far, so unless an earlier-than-tail time arrives this is
-        // a plain append.
-        if (entry_less(b.entries.back(), entry)) {
-            b.entries.push_back(entry);
-        } else {
-            auto it = std::upper_bound(b.entries.begin() + static_cast<std::ptrdiff_t>(b.head),
-                                       b.entries.end(), entry, &entry_less);
-            b.entries.insert(it, entry);
-        }
+    } else if (entry_less(b.entries.back(), entry)) {
+        b.entries.push_back(entry);
     } else {
-        b.entries.push_back(entry);
+        auto it = std::upper_bound(b.entries.begin() + static_cast<std::ptrdiff_t>(b.head),
+                                   b.entries.end(), entry, &entry_less);
+        b.entries.insert(it, entry);
     }
     ++wheel_count_;
 }
@@ -309,14 +326,14 @@ inline void Simulator::push_entry(Time when, Node* node) {
     if (size_ == 0) cur_bucket_id_ = bucket_id(now_);  // wheel is empty: re-anchor
     ++size_;
     const std::uint64_t id = bucket_id(when);
-    if (id - cur_bucket_id_ < kNumBuckets) {  // unsigned: also false when id < cursor
+    if (id - cur_bucket_id_ <= bucket_mask_) {  // unsigned: also false when id < cursor
         wheel_insert(id, entry);
     } else if (id >= cur_bucket_id_) {
-        overflow_.push(entry);
+        post_to_overflow(entry);
     } else {
         // The cursor ran ahead (the previous minimum was far in the
-        // future); rebuild the window around the new earliest event.
-        rebuild_window(id, entry);
+        // future); rewind the window to the new earliest event.
+        rewind_window(id, entry);
     }
 }
 
@@ -342,27 +359,18 @@ inline Simulator::Entry* Simulator::find_min() {
         if (wheel_count_ == 0) {
             // Everything queued sits in the overflow ladder: jump the
             // window to its minimum and migrate what now fits.
-            cur_bucket_id_ = bucket_id(overflow_.top().when);
+            cur_bucket_id_ = bucket_id(overflow_.front().when);
             migrate_overflow();
             continue;
         }
-        Bucket& b = buckets_[static_cast<std::size_t>(cur_bucket_id_) & kBucketMask];
-        if (b.head < b.entries.size()) {
-            if (!b.sorted) {
-                std::sort(b.entries.begin(), b.entries.end(), &entry_less);
-                b.sorted = true;
-#if defined(WLANPS_OBS_ENABLED)
-                if (profile_ != nullptr) profile_->on_bucket_sorted(b.entries.size());
-#endif
-            }
-            return &b.entries[b.head];
-        }
+        Bucket& b = buckets_[static_cast<std::size_t>(cur_bucket_id_ & bucket_mask_)];
+        if (b.head < b.entries.size()) return &b.entries[b.head];
         advance_cursor();
     }
 }
 
 inline void Simulator::pop_min() {
-    const std::size_t idx = static_cast<std::size_t>(cur_bucket_id_) & kBucketMask;
+    const std::size_t idx = static_cast<std::size_t>(cur_bucket_id_ & bucket_mask_);
     Bucket& b = buckets_[idx];
     ++b.head;
     --wheel_count_;
@@ -370,7 +378,6 @@ inline void Simulator::pop_min() {
     if (b.head == b.entries.size()) {
         b.entries.clear();
         b.head = 0;
-        b.sorted = false;
         occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
     }
 }

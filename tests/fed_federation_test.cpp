@@ -19,6 +19,7 @@
 #include "core/scenario_spec.hpp"
 #include "core/scenarios.hpp"
 #include "exp/runner.hpp"
+#include "fault/fault.hpp"
 #include "fed/client_slab.hpp"
 #include "fed/federation.hpp"
 #include "obs/metrics_stream.hpp"
@@ -249,6 +250,52 @@ TEST(FederationRunTest, FaultedRunStaysThreadInvariant) {
         core::ScenarioSpec::federation().with_federation(cfg).with_stream(stream));
     EXPECT_EQ(inline_run.population.fingerprint, parallel.population.fingerprint);
     EXPECT_EQ(inline_run.population.faults_injected, parallel.population.faults_injected);
+}
+
+// --- golden fingerprints -------------------------------------------------
+
+// A city block: 10⁴ clients on 312 APs with roaming, defer admission and a
+// flash crowd.  Bursts are 3 s apart and roams tens of seconds, so most
+// posts land far beyond a ~1 ms calendar-queue window; the pinned values
+// catch a kernel or teardown ordering bug that every thread count shares.
+core::ScenarioSpec city_block_spec(int threads) {
+    core::StreamConfig stream;
+    stream.clients = 10000;
+    stream.duration = Time::from_seconds(60);
+    stream.seed = 29;
+    core::FederationConfig cfg;
+    cfg.with_aps(312)
+        .with_shards(4)
+        .with_threads(threads)
+        .with_roaming(Time::from_seconds(45))
+        .with_admission(core::AdmissionPolicy::defer)
+        .with_capacity_per_ap(36)
+        .with_arrivals(0.11, 0.35, Time::from_seconds(20), Time::from_seconds(30));
+    return core::ScenarioSpec::federation().with_federation(cfg).with_stream(stream);
+}
+
+TEST(FederationRunTest, GoldenFingerprintsPinTheCityBlock) {
+    const auto plain = run_federation(city_block_spec(0));
+    EXPECT_EQ(plain.population.fingerprint, 0x04d7002b8baaca4cULL)
+        << std::hex << plain.population.fingerprint;
+
+    // Population-wide nic-lockups that each cell rolls at p = 0.5, three
+    // times: the per-cell fault streams and the lockup sweep are pinned too.
+    auto spec = city_block_spec(2);
+    fault::FaultSpec lockup;
+    lockup.kind = fault::FaultKind::nic_lockup;
+    lockup.at = Time::from_seconds(15);
+    lockup.duration = Time::from_seconds(4);
+    lockup.probability = 0.5;
+    lockup.repeat = 3;
+    lockup.period = Time::from_seconds(10);
+    core::StreamConfig stream = spec.stream();
+    stream.fault_plan.add(lockup);
+    const auto faulted = run_federation(spec.with_stream(stream));
+    EXPECT_GT(faulted.population.faults_injected, 0u);
+    EXPECT_TRUE(faulted.population.conserved());
+    EXPECT_EQ(faulted.population.fingerprint, 0x87e2401d11e62f34ULL)
+        << std::hex << faulted.population.fingerprint;
 }
 
 // --- SimBackend dispatch -------------------------------------------------
