@@ -55,6 +55,12 @@ void WlanStation::schedule_wake_for_next_beacon() {
                               (sim_.now() - wake_issued).ns());
             WLANPS_LOG(sim::LogLevel::debug, sim_.now(), "psm",
                        "station " << id_ << " awake for beacon at " << target.str());
+            // A wake that completes past the beacon's timeout (a stuck
+            // wake) has missed that beacon: doze and wake for the next one.
+            if (sim_.now() > target + config_.beacon_timeout) {
+                back_to_doze();
+                return;
+            }
             awaiting_beacon_ = true;
             // If the beacon never arrives (collision/loss), doze again.
             timeout_event_ = sim_.schedule_at(target + config_.beacon_timeout, [this] {

@@ -425,9 +425,11 @@ TEST(FaultTableTest, ValidateAcceptsExactlyWhatEachWorldRuns) {
         {"hotspot_mixed", core::ScenarioSpec::hotspot_mixed().with_mix(
                               core::MixedWorkload{}.with_mp3(1).with_video(1).with_web(0))},
     };
-    fault::FaultPlan one_of_each[10];
+    fault::FaultPlan one_of_each[11];
     one_of_each[0].nic_lockup(1_s, 1_s);
     one_of_each[1].wake_stuck(1_s, 5_ms);
+    // Longer than a PSM station's beacon timeout plus its wake guard.
+    one_of_each[10].wake_stuck(1_s, 50_ms);
     one_of_each[2].beacon_loss(1_s, 1_s);
     one_of_each[3].poll_drop(1_s, 1_s, 0.5);
     one_of_each[4].blackout(1_s, 1_s);

@@ -106,6 +106,14 @@ std::vector<Scenario> scenarios() {
                        .with_duration(Time::from_seconds(30))});
     out.push_back({"bt_7_clients", core::ScenarioSpec::bt().with_clients(7).with_duration(
                                        Time::from_seconds(60))});
+
+    // PSM wakes stuck past the beacon timeout: the station misses that
+    // beacon and dozes until the next one.
+    fault::FaultPlan stuck;
+    stuck.wake_stuck(Time::from_seconds(1), Time::from_ms(50))
+        .wake_stuck(Time::from_seconds(3), Time::from_ms(80), 2);
+    out.push_back({"psm_wake_stuck", core::ScenarioSpec::psm().with_clients(3).with_duration(
+                                         Time::from_seconds(20)).with_fault_plan(stuck)});
     return out;
 }
 
