@@ -17,16 +17,11 @@
 ///   --backend=both      run both, print the per-point cross-validation
 ///                       and the measured speedup
 ///
-/// With WLANPS_XVAL_OUT=<file> and --backend=both, the timing/agreement
-/// summary is written as JSON for scripts/run_bench.sh to merge into
-/// BENCH_<PR>.json ("backend_xval").
-///
 /// With WLANPS_GRID_OUT=<file> and a single backend, the per-point grid
 /// metrics are written as JSON; run once per backend and feed the two
 /// files to scripts/bench_diff.py --threshold to gate the agreement.
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -172,11 +167,9 @@ int main(int argc, char** argv) {
 
     std::printf("Cross-validation, simulator vs closed form (saving %% per point):\n");
     std::printf("%-14s %10s %10s %10s\n", "point", "sim", "analytic", "delta pp");
-    double max_abs_delta_pp = 0.0;
     for (std::size_t p = 0; p < sweep.size(); ++p) {
         const double s = sim_grid.result.aggregate.metric(p, "saving_pct").mean();
         const double a = ana_grid.result.aggregate.metric(p, "saving_pct").mean();
-        max_abs_delta_pp = std::max(max_abs_delta_pp, std::fabs(a - s));
         std::printf("%-14s %9.1f%% %9.1f%% %+10.2f\n", sweep[p].label.c_str(), s, a, a - s);
     }
     const double speedup = sim_grid.elapsed_s / std::max(ana_grid.elapsed_s, 1e-9);
@@ -184,22 +177,5 @@ int main(int argc, char** argv) {
                 ana_grid.elapsed_s, speedup);
     bu::note("expected shape: savings agree within ~2 percentage points everywhere;");
     bu::note("the closed form screens the grid >=100x faster than the simulator");
-
-    if (const char* out = std::getenv("WLANPS_XVAL_OUT")) {
-        if (FILE* f = std::fopen(out, "w")) {
-            std::fprintf(f,
-                         "{\n"
-                         "  \"grid_points\": %zu,\n"
-                         "  \"sim_seconds\": %.6f,\n"
-                         "  \"analytic_seconds\": %.6f,\n"
-                         "  \"speedup\": %.1f,\n"
-                         "  \"max_abs_saving_delta_pp\": %.3f\n"
-                         "}\n",
-                         sweep.size(), sim_grid.elapsed_s, ana_grid.elapsed_s, speedup,
-                         max_abs_delta_pp);
-            std::fclose(f);
-            bu::note(std::string("xval summary written to ") + out);
-        }
-    }
     return 0;
 }

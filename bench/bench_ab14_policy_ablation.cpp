@@ -22,7 +22,7 @@
 /// listening into nav_sleep relative to CAM on the clean channel.
 ///
 /// With WLANPS_AB14_OUT=<file>, the grid is written as JSON for
-/// scripts/run_bench.sh to merge into BENCH_<PR>.json ("policy_ablation").
+/// scripts/plot_results.py --ab14 to plot.
 /// --quick shrinks the run for CI.
 
 #include <cmath>

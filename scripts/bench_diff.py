@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
 """Compare two benchmark/metrics JSON files metric by metric.
 
-Works on any pair of files sharing the repo's JSON shapes:
-
-  * BENCH_<PR>.json from scripts/run_bench.sh (google-benchmark medians,
-    wall-clock seconds), and
-  * metrics.json snapshots from the obs exporter (counters, gauges,
-    histograms, energy ledger).
+Works on any pair of files sharing the repo's JSON shapes: metrics.json
+snapshots from the obs exporter (counters, gauges, histograms, energy
+ledger), health reports (hotspot_cli --obs-health) and bench grids such
+as bench_ab12_sensitivity's WLANPS_GRID_OUT.
 
 Either side may also be a binary WPSM metrics stream written by a
 federation run (src/obs/metrics_stream.hpp, magic "WPSM"): the file is
@@ -17,8 +15,7 @@ for the stride-sampled per-client records.
 
 Both documents are flattened to dot-separated paths of numeric leaves;
 every path present in both files is reported with its old value, new
-value, and relative delta.  Noisy bookkeeping (google-benchmark's
-"context" block: date, host, load average, ...) is excluded.
+value, and relative delta.
 
 By default the diff is informational and always exits 0.  With
 --threshold PCT the exit status turns into a gate: any shared metric
@@ -32,11 +29,6 @@ import argparse
 import json
 import struct
 import sys
-
-# Subtrees that never carry comparable measurements.
-EXCLUDE_PREFIXES = (
-    "google_benchmark.context",
-)
 
 
 def flatten(node, prefix=""):
@@ -116,13 +108,7 @@ def load_metrics(path):
         raw = f.read()
     if raw[:4] == WPSM_MAGIC:
         return decode_wpsm(raw, path)
-    doc = json.loads(raw.decode())
-    metrics = {}
-    for key, value in flatten(doc):
-        if any(key.startswith(p) for p in EXCLUDE_PREFIXES):
-            continue
-        metrics[key] = value
-    return metrics
+    return dict(flatten(json.loads(raw.decode())))
 
 
 def relative_delta(old, new):

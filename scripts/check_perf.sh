@@ -40,7 +40,7 @@
 # host speeds) systematically taxes one side; a within-round ratio
 # cancels the drift and the median over alternating orders cancels the
 # residual position bias (attached-profile cost is reported by
-# BM_EventPostDispatchProfiled in run_bench.sh, not gated here).
+# BM_EventPostDispatchProfiled in bench_perf_kernel, not gated here).
 #
 # Usage: scripts/check_perf.sh [--update-baseline] [build-dir] [obs-build-dir]
 #   (default build dirs: build-perf, build-perf-obs)

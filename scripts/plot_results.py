@@ -11,17 +11,18 @@ body contains an aligned table additionally get results/<id>.csv.  With
 matplotlib installed, the Figure 2 bar chart and the AB3 loss sweep are
 rendered as PNGs.
 
-With --metrics metrics.json (the obs snapshot written by run_bench.sh or
-hotspot_cli --obs-metrics), the per-client energy-attribution ledger is
-rendered as a stacked per-cause bar chart (energy_breakdown.png) and
-dumped to energy_breakdown.csv.
+With --metrics metrics.json (the obs snapshot written by
+bench_fig2_ipaq_power via WLANPS_METRICS_OUT, or by hotspot_cli
+--obs-metrics), the per-client energy-attribution ledger is rendered as
+a stacked per-cause bar chart (energy_breakdown.png) and dumped to
+energy_breakdown.csv.
 
 With --ab14 ab14.json (the policy-ablation grid written by
-bench_ab14_policy_ablation via WLANPS_AB14_OUT, also embedded in
-BENCH_*.json as "policy_ablation"), the per-cause energy breakdown is
-rendered grouped by power policy (policy_ablation.png + .csv): one
-stacked bar per policy x fault-intensity cell, so the idle_listen ->
-nav_sleep reallocation of micro_nap is visible next to cam/psm/pamas.
+bench_ab14_policy_ablation via WLANPS_AB14_OUT), the per-cause energy
+breakdown is rendered grouped by power policy (policy_ablation.png +
+.csv): one stacked bar per policy x fault-intensity cell, so the
+idle_listen -> nav_sleep reallocation of micro_nap is visible next to
+cam/psm/pamas.
 """
 
 import argparse
@@ -186,10 +187,7 @@ def policy_ablation(ab14_path, outdir):
     """Per-cause energy breakdown grouped by power policy (AB14 grid)."""
     with open(ab14_path) as f:
         doc = json.load(f)
-    # Accept either the raw WLANPS_AB14_OUT file or a merged BENCH_*.json
-    # carrying it as the "policy_ablation" section.
-    grid = doc.get("policy_ablation", doc)
-    cells = grid.get("cells", [])
+    cells = doc.get("cells", [])
     if not cells:
         print(f"{ab14_path} has no policy-ablation cells (run "
               "bench_ab14_policy_ablation with WLANPS_AB14_OUT set)",
@@ -249,9 +247,9 @@ def main():
                         help="obs metrics snapshot; plots the per-client "
                              "energy ledger as a stacked bar chart")
     parser.add_argument("--ab14", metavar="JSON",
-                        help="policy-ablation grid (WLANPS_AB14_OUT file or "
-                             "a merged BENCH_*.json); plots the per-cause "
-                             "breakdown grouped by power policy")
+                        help="policy-ablation grid (the WLANPS_AB14_OUT file); "
+                             "plots the per-cause breakdown grouped by power "
+                             "policy")
     args = parser.parse_args()
     if args.metrics:
         energy_breakdown(args.metrics, args.outdir)

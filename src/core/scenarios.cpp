@@ -3,20 +3,14 @@
 #include <memory>
 #include <utility>
 
-#include "bt/piconet.hpp"
+#include "core/bss_world.hpp"
 #include "core/hotspot_world.hpp"
-#include "core/scenario_obs.hpp"
 #include "fault/injector.hpp"
 #include "fed/federation.hpp"
-#include "mac/access_point.hpp"
-#include "mac/ecmac.hpp"
-#include "mac/station.hpp"
 #include "obs/energy_ledger.hpp"
-#include "obs/hooks.hpp"
-#include "policy/world.hpp"
 #include "sim/assert.hpp"
-#include "traffic/playout.hpp"
-#include "traffic/source.hpp"
+#include "sim/random.hpp"
+#include "sim/simulator.hpp"
 
 namespace wlanps::core {
 
@@ -97,296 +91,33 @@ FaultSurface injectable_faults(const ScenarioSpec& spec) {
 
 namespace {
 
-traffic::PlayoutBuffer::Config mp3_playout() {
-    traffic::PlayoutBuffer::Config c;
-    c.frame_size = phy::calibration::kMp3FrameSize;
-    c.frame_interval = phy::calibration::kMp3FrameInterval;
-    c.preroll = Time::from_seconds(2);
-    c.capacity = DataSize::from_kilobytes(2048);
-    c.start_threshold_frames = 38;  // ~1 s of audio buffered before playing
-    return c;
-}
-
-/// Bind the injector hooks of a BSS world (one AP, stations 1..N with
-/// radios \p nics) for the kinds \p faults accepts: per-station radio
-/// faults, AP beacon loss and PS-Poll drops, per-station link windows.
-void bind_bss_faults(fault::FaultInjector& injector, const FaultSurface& faults,
-                     sim::Simulator& sim, mac::Bss& bss, mac::AccessPoint& ap,
-                     std::vector<phy::WlanNic*> nics, const sim::Random& root) {
-    if (faults.accepts(FaultKind::nic_lockup)) {
-        injector.phy().nic_lockup = [nics](std::uint32_t target, Time until) {
-            for (std::size_t i = 0; i < nics.size(); ++i) {
-                if (target == 0 || target == i + 1) nics[i]->inject_lockup(until);
-            }
-        };
-    }
-    if (faults.accepts(FaultKind::wake_stuck)) {
-        injector.phy().wake_stuck = [nics](std::uint32_t target, Time extra) {
-            for (std::size_t i = 0; i < nics.size(); ++i) {
-                if (target == 0 || target == i + 1) nics[i]->inject_wake_stuck(extra);
-            }
-        };
-    }
-    if (faults.accepts(FaultKind::beacon_loss)) {
-        injector.mac().beacon_loss = [&ap](Time until) { ap.suppress_beacons(until); };
-    }
-    if (faults.accepts(FaultKind::poll_drop)) {
-        injector.mac().poll_drop = [&ap, &root](double p, Time until) {
-            ap.inject_poll_drop(p, until, root.fork(901));
-        };
-    }
-    injector.net().fault_window = [&bss, &sim, clients = nics.size()](
-                                      std::uint32_t target, fault::FaultSpec::Itf itf,
-                                      double p, Time until) {
-        if (itf == fault::FaultSpec::Itf::bt) return;  // no BT in a BSS world
-        for (std::size_t i = 0; i < clients; ++i) {
-            if (target != 0 && target != i + 1) continue;
-            if (auto* link = bss.link(static_cast<mac::StationId>(i + 1))) {
-                link->add_fault_window(sim.now(), until, p);
-            }
-        }
-    };
-}
-
-/// The 802.11 BSS: one AP streaming MP3 to every station, all awake (CAM,
-/// \p psm null) or in power-save mode (TIM beacons + PS-Polls).
-ScenarioResult sim_wlan_bss(const StreamConfig& config, const PsmConfig* psm,
-                            const FaultSurface& faults) {
-    const PsmConfig ps = psm != nullptr ? *psm : PsmConfig{};
+/// A BSS-family spec on one queue, with the BSS fault hooks bound.
+ScenarioResult sim_bss(const ScenarioSpec& spec, std::uint64_t seed) {
     sim::Simulator sim;
-    sim::Random root(config.seed);
-    mac::Bss bss(sim);
-    mac::AccessPointConfig ap_cfg;
-    ap_cfg.mode = psm != nullptr ? mac::ApMode::psm : mac::ApMode::cam;
-    ap_cfg.beacon_interval = ps.beacon_interval;
-    ap_cfg.aggregate_limit = ps.aggregate_limit;
-    mac::AccessPoint ap(sim, bss, ap_cfg, mac::DcfConfig{}, root.fork(100));
-
-    std::vector<std::unique_ptr<mac::WlanStation>> stations;
-    std::vector<std::unique_ptr<traffic::PlayoutBuffer>> playouts;
-    std::vector<std::unique_ptr<traffic::Mp3Source>> sources;
-    std::vector<phy::WlanNic*> nics;
-
-    for (int i = 0; i < config.clients; ++i) {
-        const auto id = static_cast<mac::StationId>(i + 1);
-        mac::StationConfig st_cfg;
-        st_cfg.mode = psm != nullptr ? mac::StationMode::psm : mac::StationMode::cam;
-        st_cfg.listen_interval = ps.listen_interval;
-        auto st = std::make_unique<mac::WlanStation>(sim, bss, id, st_cfg, mac::DcfConfig{},
-                                                     config.wlan_nic, root.fork(200 + i));
-        if (obs::EnergyLedger* led = obs::current_ledger()) {
-            st->wlan_nic().attach_ledger(led, static_cast<std::uint32_t>(id));
-        }
-        bss.set_link(id, config.wlan_link, root.fork(300 + i));
-        auto playout = std::make_unique<traffic::PlayoutBuffer>(sim, mp3_playout());
-        st->set_receive_callback(
-            [p = playout.get()](DataSize size, Time) { p->on_data(size); });
-        auto src = std::make_unique<traffic::Mp3Source>(
-            sim, [&ap, id](DataSize size) { ap.send(id, size); });
-        nics.push_back(&st->wlan_nic());
-        stations.push_back(std::move(st));
-        playouts.push_back(std::move(playout));
-        sources.push_back(std::move(src));
-    }
-
+    BssWorld world(sim, spec, seed, obs::current_ledger());
+    const sim::Random root(seed);
     std::unique_ptr<fault::FaultInjector> injector;
-    if (!config.fault_plan.empty()) {
-        injector = std::make_unique<fault::FaultInjector>(sim, config.fault_plan,
+    if (!spec.stream().fault_plan.empty()) {
+        injector = std::make_unique<fault::FaultInjector>(sim, spec.stream().fault_plan,
                                                           root.fork(900));
-        bind_bss_faults(*injector, faults, sim, bss, ap, std::move(nics), root);
+        world.bind_faults(*injector, injectable_faults(spec));
     }
-
-    ap.start();
-    for (auto& st : stations) st->start(ap.config().beacon_interval, ap.config().beacon_interval);
-    for (auto& p : playouts) p->start();
-    for (auto& s : sources) s->start();
-    if (injector) injector->arm();
-    sim.run_until(config.duration);
-    for (auto& st : stations) st->wlan_nic().settle_ledger();
-
-    ScenarioResult result;
-    result.label = psm != nullptr ? "wlan-psm" : "wlan-cam";
-    if (injector) result.faults_injected = injector->injected_total();
-    for (std::size_t i = 0; i < stations.size(); ++i) {
-        result.clients.push_back(make_client_metrics(stations[i]->average_power(),
-                                                     stations[i]->energy_consumed(),
-                                                     *playouts[i],
-                                                     stations[i]->bytes_received()));
-    }
-    if (obs::MetricsRegistry* reg = obs::current()) {
-        for (auto& st : stations) st->wlan_nic().publish_metrics(*reg, "phy.wlan");
-    }
-    record_client_obs(result);
-    record_kernel_obs(sim);
-    return result;
-}
-
-ScenarioResult sim_ecmac(const StreamConfig& config, Time superframe) {
-    WLANPS_REQUIRE(config.clients >= 1);
-    sim::Simulator sim;
-    sim::Random root(config.seed);
-    mac::Bss bss(sim);
-    mac::EcMacConfig ec_cfg;
-    ec_cfg.superframe = superframe;
-    mac::EcMacController controller(sim, bss, ec_cfg, root.fork(100));
-
-    std::vector<std::unique_ptr<mac::EcMacStation>> stations;
-    std::vector<std::unique_ptr<traffic::PlayoutBuffer>> playouts;
-    std::vector<std::unique_ptr<traffic::Mp3Source>> sources;
-
-    for (int i = 0; i < config.clients; ++i) {
-        const auto id = static_cast<mac::StationId>(i + 1);
-        auto st = std::make_unique<mac::EcMacStation>(sim, bss, id, ec_cfg, config.wlan_nic);
-        if (obs::EnergyLedger* led = obs::current_ledger()) {
-            st->wlan_nic().attach_ledger(led, static_cast<std::uint32_t>(id));
-        }
-        bss.set_link(id, config.wlan_link, root.fork(300 + i));
-        auto playout = std::make_unique<traffic::PlayoutBuffer>(sim, mp3_playout());
-        st->set_receive_callback(
-            [p = playout.get()](DataSize size, Time) { p->on_data(size); });
-        auto src = std::make_unique<traffic::Mp3Source>(
-            sim, [&controller, id](DataSize size) { controller.send(id, size); });
-        stations.push_back(std::move(st));
-        playouts.push_back(std::move(playout));
-        sources.push_back(std::move(src));
-    }
-
-    controller.start();
-    for (auto& st : stations) st->start(controller.superframe_anchor());
-    for (auto& p : playouts) p->start();
-    for (auto& s : sources) s->start();
-    sim.run_until(config.duration);
-    for (auto& st : stations) st->wlan_nic().settle_ledger();
-
-    ScenarioResult result;
-    result.label = "ec-mac";
-    for (std::size_t i = 0; i < stations.size(); ++i) {
-        result.clients.push_back(make_client_metrics(stations[i]->average_power(),
-                                                     stations[i]->energy_consumed(),
-                                                     *playouts[i],
-                                                     stations[i]->bytes_received()));
-    }
-    if (obs::MetricsRegistry* reg = obs::current()) {
-        for (auto& st : stations) st->wlan_nic().publish_metrics(*reg, "phy.wlan");
-    }
-    record_client_obs(result);
-    record_kernel_obs(sim);
-    return result;
-}
-
-ScenarioResult sim_bt_active(const StreamConfig& config) {
-    WLANPS_REQUIRE(config.clients >= 1);
-    sim::Simulator sim;
-    sim::Random root(config.seed);
-    bt::Piconet piconet(sim, bt::PiconetConfig{}, root.fork(100));
-
-    std::vector<std::unique_ptr<bt::BtSlave>> slaves;
-    std::vector<std::unique_ptr<traffic::PlayoutBuffer>> playouts;
-    std::vector<std::unique_ptr<traffic::Mp3Source>> sources;
-
-    for (int i = 0; i < config.clients; ++i) {
-        auto slave = std::make_unique<bt::BtSlave>(sim, config.bt_nic,
-                                                   phy::BtNic::State::active);
-        const bt::SlaveId id = piconet.join(*slave);
-        if (obs::EnergyLedger* led = obs::current_ledger()) {
-            slave->nic().attach_ledger(led, static_cast<std::uint32_t>(i + 1));
-        }
-        piconet.set_link(id, config.bt_link, root.fork(300 + i));
-        auto playout = std::make_unique<traffic::PlayoutBuffer>(sim, mp3_playout());
-        slave->set_receive_callback([p = playout.get()](DataSize size) { p->on_data(size); });
-        auto src = std::make_unique<traffic::Mp3Source>(
-            sim, [&piconet, id](DataSize size) { piconet.send(id, size); });
-        slaves.push_back(std::move(slave));
-        playouts.push_back(std::move(playout));
-        sources.push_back(std::move(src));
-    }
-
-    for (auto& p : playouts) p->start();
-    for (auto& s : sources) s->start();
-    sim.run_until(config.duration);
-    for (auto& s : slaves) s->nic().settle_ledger();
-
-    ScenarioResult result;
-    result.label = "bt-active";
-    for (std::size_t i = 0; i < slaves.size(); ++i) {
-        result.clients.push_back(make_client_metrics(slaves[i]->average_power(),
-                                                     slaves[i]->energy_consumed(),
-                                                     *playouts[i],
-                                                     slaves[i]->bytes_received()));
-    }
-    if (obs::MetricsRegistry* reg = obs::current()) {
-        for (auto& s : slaves) s->nic().publish_metrics(*reg, "phy.bt");
-    }
-    record_client_obs(result);
-    record_kernel_obs(sim);
-    return result;
-}
-
-/// Event-driven power policies (micro_nap, pamas): one PolicyBssWorld on a
-/// single-queue Simulator, with the BSS fault hooks.
-ScenarioResult sim_policy_bss(const StreamConfig& config,
-                              const policy::PowerPolicyConfig& power,
-                              const FaultSurface& faults) {
-    sim::Simulator sim;
-    sim::Random root(config.seed);  // world forks 100/200+i/300+i; injector 900
-
-    policy::PolicyWorldConfig wc;
-    wc.clients = config.clients;
-    wc.seed = config.seed;
-    wc.policy = power;
-    wc.nic = config.wlan_nic;
-    wc.link = config.wlan_link;
-    wc.playout = mp3_playout();
-    policy::PolicyBssWorld world(sim, wc, obs::current_ledger());
-
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (!config.fault_plan.empty()) {
-        injector = std::make_unique<fault::FaultInjector>(sim, config.fault_plan,
-                                                          root.fork(900));
-        std::vector<phy::WlanNic*> nics;
-        for (int i = 0; i < config.clients; ++i) nics.push_back(&world.station(i).wlan_nic());
-        bind_bss_faults(*injector, faults, sim, world.bss(), world.ap(), std::move(nics), root);
-    }
-
     world.start();
     if (injector) injector->arm();
-    sim.run_until(config.duration);
-    world.settle();
-
-    ScenarioResult result;
-    result.label = power.kind == policy::PolicyKind::micro_nap ? "micro-nap" : "pamas";
+    sim.run_until(spec.duration());
+    ScenarioResult result = world.finish();
     if (injector) result.faults_injected = injector->injected_total();
-    for (int i = 0; i < config.clients; ++i) {
-        policy::PolicyStation& st = world.station(i);
-        result.clients.push_back(make_client_metrics(st.average_power(),
-                                                     st.energy_consumed(),
-                                                     world.playout(i), st.bytes_received()));
-    }
-    if (obs::MetricsRegistry* reg = obs::current()) {
-        for (int i = 0; i < config.clients; ++i) {
-            world.station(i).wlan_nic().publish_metrics(*reg, "phy.wlan");
-        }
-    }
-    record_client_obs(result);
-    record_kernel_obs(sim);
     return result;
 }
 
 }  // namespace
 
 ScenarioResult SimBackend::do_run(const ScenarioSpec& spec, std::uint64_t seed) const {
-    StreamConfig config = spec.stream();
-    config.seed = seed;
-    const FaultSurface faults = injectable_faults(spec);
     switch (spec.policy()) {
         case Policy::cam:
-            if (spec.has_power_policy()) {
-                return sim_policy_bss(config, spec.power_policy_config(), faults);
-            }
-            return sim_wlan_bss(config, nullptr, faults);
-        case Policy::psm: return sim_wlan_bss(config, &spec.psm_config(), faults);
-        case Policy::ecmac: return sim_ecmac(config, spec.ecmac_config().superframe);
-        case Policy::bt: return sim_bt_active(config);
+        case Policy::psm:
+        case Policy::ecmac:
+        case Policy::bt: return sim_bss(spec, seed);
         case Policy::hotspot: return sim_hotspot(spec, seed);
         case Policy::federation:
             return fed::run_federation(spec, seed).scenario;

@@ -1,7 +1,6 @@
 #include "fed/federation.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "fed/ap_cell.hpp"
@@ -10,6 +9,7 @@
 #include "obs/metrics_stream.hpp"
 #include "phy/calibration.hpp"
 #include "sim/assert.hpp"
+#include "sim/digest.hpp"
 
 namespace wlanps::fed {
 
@@ -17,14 +17,6 @@ namespace {
 
 // Root fork ids for federation cells (piconets use 1000+, faults 900+).
 constexpr std::uint64_t kCellStream = 2000;
-
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xffu;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 }  // namespace
 
@@ -272,7 +264,7 @@ PopulationSummary Federation::summarize() const {
         p.peak_association = std::max(p.peak_association, cell->peak_association());
     }
 
-    std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
+    sim::Fnv1a h;
     for (std::size_t i = 0; i < population_; ++i) {
         p.bursts_admitted += slab_->bursts_admitted[i];
         p.bursts_completed += slab_->bursts_completed[i];
@@ -282,29 +274,20 @@ PopulationSummary Federation::summarize() const {
         p.roams += slab_->roams[i];
         p.handoff_failures += slab_->handoff_failures[i];
 
-        h = fnv1a_u64(h, std::bit_cast<std::uint64_t>(slab_->energy_j[i]));
-        h = fnv1a_u64(h, slab_->delivered_bits[i]);
-        h = fnv1a_u64(h, (static_cast<std::uint64_t>(slab_->bursts_admitted[i]) << 32) |
-                             slab_->bursts_completed[i]);
-        h = fnv1a_u64(h, (static_cast<std::uint64_t>(slab_->bursts_shed[i]) << 32) |
-                             (static_cast<std::uint64_t>(slab_->roams[i]) << 16) |
-                             slab_->handoff_failures[i]);
-        h = fnv1a_u64(h,
-                      (static_cast<std::uint64_t>(slab_->state_of(i)) << 32) |
-                          (static_cast<std::uint64_t>(
-                               slab_->current_ap[i].load(std::memory_order_relaxed))
-                           << 16) |
-                          slab_->epoch_of(i));
+        h.f64(slab_->energy_j[i]);
+        h.u64(slab_->delivered_bits[i]);
+        h.u64((static_cast<std::uint64_t>(slab_->bursts_admitted[i]) << 32) |
+              slab_->bursts_completed[i]);
+        h.u64((static_cast<std::uint64_t>(slab_->bursts_shed[i]) << 32) |
+              (static_cast<std::uint64_t>(slab_->roams[i]) << 16) | slab_->handoff_failures[i]);
+        h.u64((static_cast<std::uint64_t>(slab_->state_of(i)) << 32) |
+              (static_cast<std::uint64_t>(slab_->current_ap[i].load(std::memory_order_relaxed))
+               << 16) |
+              slab_->epoch_of(i));
     }
-    h = fnv1a_u64(h, p.arrivals);
-    h = fnv1a_u64(h, p.departures);
-    h = fnv1a_u64(h, p.rejected);
-    h = fnv1a_u64(h, p.deferred);
-    h = fnv1a_u64(h, p.degraded);
-    h = fnv1a_u64(h, p.faults_injected);
-    h = fnv1a_u64(h, p.faults_missed);
-    h = fnv1a_u64(h, p.peak_association);
-    p.fingerprint = h;
+    h.u64(p.arrivals).u64(p.departures).u64(p.rejected).u64(p.deferred).u64(p.degraded);
+    h.u64(p.faults_injected).u64(p.faults_missed).u64(p.peak_association);
+    p.fingerprint = h.value();
     return p;
 }
 

@@ -8,8 +8,8 @@
 /// violations — exported three ways: deterministic JSON
 /// (hotspot_cli --obs-health FILE), WPSM summary frames riding the
 /// federation metrics stream (decoded by scripts/bench_diff.py as
-/// summary.health.*), and in-memory for the bench harness to lift into
-/// BENCH_*.json counters.
+/// summary.health.*), and in-memory (bench_perf_kernel turns it into its
+/// shard counters).
 ///
 /// Determinism: to_json(false) — the default export — contains only
 /// fields that are bit-identical across worker-thread counts (event

@@ -9,8 +9,7 @@
 /// to incrementally — time-series samples at a coarse cadence while the
 /// simulation advances, then a summary block and stride-sampled
 /// per-client records at teardown.  scripts/bench_diff.py decodes it back
-/// into flat numeric keys so the informational CI bench-diff keeps
-/// working on federation runs.
+/// into flat numeric keys, so federation runs diff like any metrics JSON.
 ///
 /// Layout: magic "WPSM", u32 version, then frames of
 ///   u8 type, u32 payload_len, payload

@@ -1,5 +1,5 @@
-/// Determinism tests for the policy-BSS worlds on the sharded kernel:
-/// under the strict barrier policy, a grid of micro_nap/pamas worlds (one
+/// Determinism tests for the policy worlds on the sharded kernel: under
+/// the strict barrier policy, a grid of micro_nap/pamas BSS worlds (one
 /// per shard, each with its own seed and energy ledger) must end in a
 /// bit-identical state at every worker-thread count, and different seeds
 /// must actually move the fingerprint (the digest is not a constant).
@@ -7,13 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
+#include "core/bss_world.hpp"
+#include "core/scenario_spec.hpp"
 #include "obs/energy_ledger.hpp"
 #include "policy/policy.hpp"
-#include "policy/world.hpp"
+#include "policy/station.hpp"
+#include "sim/digest.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 
@@ -21,10 +23,11 @@ namespace wlanps::policy {
 namespace {
 
 constexpr std::size_t kShards = 4;
+constexpr int kClients = 2;
 constexpr Time kHorizon = Time::from_seconds(8);
 
 /// Build one policy world per shard and run the grid to the horizon.
-/// Returns a combined digest of every world's end-state plus the per-shard
+/// Returns a digest of every station's end state plus the per-shard
 /// ledger totals (energy attribution must be deterministic too).
 std::uint64_t run_policy_grid(PolicyKind kind, std::size_t threads,
                               std::uint64_t seed_base) {
@@ -34,40 +37,38 @@ std::uint64_t run_policy_grid(PolicyKind kind, std::size_t threads,
     config.lookahead = Time::from_ms(10);
     sim::ShardedSimulator shx(config);
 
+    auto power = PowerPolicyConfig::of(kind);
+    if (kind == PolicyKind::micro_nap) {
+        // Uplink traffic exercises the DCF backoff-nap path as well.
+        power.with_uplink(Time::from_ms(250), DataSize::from_bytes(200));
+    }
+    const auto spec = core::ScenarioSpec::cam().with_power_policy(power).with_clients(kClients);
+
     // Explicit per-shard ledgers: the thread-local obs::current_ledger()
     // is invisible to the kernel's worker threads.
     std::vector<obs::EnergyLedger> ledgers(kShards);
-    std::vector<std::unique_ptr<PolicyBssWorld>> worlds;
+    std::vector<std::unique_ptr<core::BssWorld>> worlds;
     for (std::size_t s = 0; s < kShards; ++s) {
-        PolicyWorldConfig wc;
-        wc.clients = 2;
-        wc.seed = seed_base + s;
-        wc.policy = PowerPolicyConfig::of(kind);
-        if (kind == PolicyKind::micro_nap) {
-            // Uplink traffic exercises the DCF backoff-nap path as well.
-            wc.policy.with_uplink(Time::from_ms(250), DataSize::from_bytes(200));
-        }
         worlds.push_back(
-            std::make_unique<PolicyBssWorld>(shx.shard(s), wc, &ledgers[s]));
+            std::make_unique<core::BssWorld>(shx.shard(s), spec, seed_base + s, &ledgers[s]));
     }
     for (auto& world : worlds) world->start();
     shx.run_until(kHorizon);
 
-    std::uint64_t digest = 1469598103934665603ull;
-    const auto mix = [&digest](std::uint64_t v) {
-        digest ^= v;
-        digest *= 1099511628211ull;
-    };
+    sim::Fnv1a digest;
     for (std::size_t s = 0; s < kShards; ++s) {
-        worlds[s]->settle();
-        mix(worlds[s]->fingerprint());
-        std::uint64_t bits = 0;
-        const double total = ledgers[s].total();
-        static_assert(sizeof(bits) == sizeof(total));
-        std::memcpy(&bits, &total, sizeof(bits));
-        mix(bits);
+        (void)worlds[s]->finish();
+        for (int i = 0; i < kClients; ++i) {
+            const PolicyStation& st = worlds[s]->policy_station(i);
+            digest.f64(st.energy_consumed().joules());
+            digest.u64(static_cast<std::uint64_t>(st.bytes_received().bytes()));
+            digest.u64(st.frames_received()).u64(st.beacons_heard()).u64(st.cycles());
+            digest.u64(static_cast<std::uint64_t>(st.bytes_sent().bytes()));
+            if (const power::Battery* b = st.battery()) digest.f64(b->level());
+        }
+        digest.f64(ledgers[s].total());
     }
-    return digest;
+    return digest.value();
 }
 
 TEST(PolicyDeterminismTest, MicroNapGridIsBitIdenticalAcrossThreadCounts) {

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/backend.hpp"
+#include "core/bss_world.hpp"
 #include "core/scenario_spec.hpp"
 #include "fault/fault.hpp"
 #include "mac/access_point.hpp"
@@ -21,7 +22,6 @@
 #include "policy/pamas_policy.hpp"
 #include "policy/policy.hpp"
 #include "policy/station.hpp"
-#include "policy/world.hpp"
 #include "sim/assert.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/source.hpp"
@@ -184,24 +184,26 @@ TEST(PolicyLedgerTest, ReconcilesAgainstAggregateNicEnergy) {
 
 TEST(MicroNapTest, WorldCountsNapsAndServesUplink) {
     sim::Simulator sim;
-    policy::PolicyWorldConfig wc;
-    wc.clients = 2;
-    wc.seed = 7;
-    wc.policy = policy::PowerPolicyConfig::of(policy::PolicyKind::micro_nap)
-                    .with_uplink(Time::from_ms(200), DataSize::from_bytes(200));
-    policy::PolicyBssWorld world(sim, wc, nullptr);
+    const int clients = 2;
+    core::BssWorld world(
+        sim,
+        policy_spec(policy::PowerPolicyConfig::of(policy::PolicyKind::micro_nap)
+                        .with_uplink(Time::from_ms(200), DataSize::from_bytes(200)),
+                    clients),
+        7, nullptr);
     world.start();
     sim.run_until(Time::from_seconds(10));
-    world.settle();
+    (void)world.finish();
 
-    for (int i = 0; i < wc.clients; ++i) {
-        auto& policy = dynamic_cast<policy::MicroNapPolicy&>(world.policy(i));
+    for (int i = 0; i < clients; ++i) {
+        policy::PolicyStation& station = world.policy_station(i);
+        auto& policy = dynamic_cast<policy::MicroNapPolicy&>(station.policy());
         EXPECT_GT(policy.naps(), 0u) << "station " << i;
         EXPECT_GT(policy.napped(), Time::zero()) << "station " << i;
         EXPECT_FALSE(policy.napping()) << "station " << i;
-        EXPECT_GT(world.station(i).frames_received(), 0u) << "station " << i;
-        EXPECT_GT(world.station(i).bytes_sent().bytes(), 0) << "station " << i;
-        EXPECT_EQ(world.station(i).battery(), nullptr);  // listen-mode: no pack
+        EXPECT_GT(station.frames_received(), 0u) << "station " << i;
+        EXPECT_GT(station.bytes_sent().bytes(), 0) << "station " << i;
+        EXPECT_EQ(station.battery(), nullptr);  // listen-mode: no pack
     }
 }
 
@@ -244,16 +246,13 @@ TEST(PamasTest, ConfigValidateRejectsMalformedTables) {
 
 TEST(PamasTest, WorldDrainsBatteryWhileDutyCycling) {
     sim::Simulator sim;
-    policy::PolicyWorldConfig wc;
-    wc.clients = 1;
-    wc.seed = 11;
-    wc.policy = policy::PowerPolicyConfig::of(policy::PolicyKind::pamas);
-    policy::PolicyBssWorld world(sim, wc, nullptr);
+    core::BssWorld world(sim, policy_spec(policy::PowerPolicyConfig::of(policy::PolicyKind::pamas), 1),
+                         11, nullptr);
     world.start();
     sim.run_until(Time::from_seconds(20));
-    world.settle();
+    (void)world.finish();
 
-    auto& station = world.station(0);
+    auto& station = world.policy_station(0);
     ASSERT_NE(station.battery(), nullptr);
     EXPECT_LT(station.battery()->level(), 1.0);
     EXPECT_GT(station.cycles(), 0u);

@@ -15,6 +15,7 @@
 #include "core/scenario_spec.hpp"
 #include "fault/fault.hpp"
 #include "sim/assert.hpp"
+#include "sim/digest.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 
@@ -56,12 +57,12 @@ struct RingWorld {
     }
 
     [[nodiscard]] std::uint64_t fingerprint() const {
-        std::uint64_t h = 1469598103934665603ull;
+        Fnv1a h;
         for (std::size_t s = 0; s < logs.size(); ++s) {
-            for (std::uint64_t v : logs[s]) h = (h ^ (v + s)) * 1099511628211ull;
-            h = (h ^ local_ticks[s]) * 1099511628211ull;
+            for (std::uint64_t v : logs[s]) h.u64(v + s);
+            h.u64(local_ticks[s]);
         }
-        return h;
+        return h.value();
     }
 };
 
