@@ -33,13 +33,6 @@ traffic::PlayoutBuffer::Config mp3_playout() {
     return c;
 }
 
-template <class... F>
-struct Overloaded : F... {
-    using F::operator()...;
-};
-template <class... F>
-Overloaded(F...) -> Overloaded<F...>;
-
 }  // namespace
 
 /// One client: its station (of the hub's type), the MP3 playout buffer
@@ -102,18 +95,19 @@ BssWorld::BssWorld(sim::Simulator& sim, const ScenarioSpec& spec, std::uint64_t 
         const auto id = static_cast<std::uint32_t>(i + 1);
         Row& row = rows_.emplace_back();
         traffic::Sink to_hub;
-        if (power != nullptr) {
-            row.policy = policy::make_power_policy(*power);
-            row.station = std::make_unique<policy::PolicyStation>(
-                sim, *bss_, *ap_, id, *row.policy, *power, mac::DcfConfig{}, stream.wlan_nic,
-                root_.fork(200 + i));
-            to_hub = [ap = ap_.get(), id](DataSize size) { ap->send(id, size); };
-        } else if (ap_ != nullptr) {
-            mac::StationConfig c;
-            c.mode = psm ? mac::StationMode::psm : mac::StationMode::cam;
-            c.listen_interval = ps.listen_interval;
-            row.station = std::make_unique<mac::WlanStation>(
-                sim, *bss_, id, c, mac::DcfConfig{}, stream.wlan_nic, root_.fork(200 + i));
+        if (ap_ != nullptr) {
+            if (power != nullptr) {
+                row.policy = policy::make_power_policy(*power);
+                row.station = std::make_unique<policy::PolicyStation>(
+                    sim, *bss_, *ap_, id, *row.policy, *power, mac::DcfConfig{},
+                    stream.wlan_nic, root_.fork(200 + i));
+            } else {
+                mac::StationConfig c;
+                c.mode = psm ? mac::StationMode::psm : mac::StationMode::cam;
+                c.listen_interval = ps.listen_interval;
+                row.station = std::make_unique<mac::WlanStation>(
+                    sim, *bss_, id, c, mac::DcfConfig{}, stream.wlan_nic, root_.fork(200 + i));
+            }
             to_hub = [ap = ap_.get(), id](DataSize size) { ap->send(id, size); };
         } else if (ecmac_ != nullptr) {
             row.station = std::make_unique<mac::EcMacStation>(sim, *bss_, id, ecmac_->config(),
@@ -196,17 +190,18 @@ void BssWorld::start() {
     if (ap_ != nullptr) ap_->start();
     if (ecmac_ != nullptr) ecmac_->start();
     for (Row& row : rows_) {
-        std::visit(Overloaded{
-                       [this](std::unique_ptr<mac::WlanStation>& st) {
-                           st->start(ap_->config().beacon_interval, ap_->config().beacon_interval);
-                       },
-                       [](std::unique_ptr<policy::PolicyStation>& st) { st->start(); },
-                       [this](std::unique_ptr<mac::EcMacStation>& st) {
-                           st->start(ecmac_->superframe_anchor());
-                       },
-                       [](std::unique_ptr<bt::BtSlave>&) {},  // live once it joined
-                   },
-                   row.station);
+        std::visit(
+            [this](auto& st) {
+                using Station = std::decay_t<decltype(*st)>;
+                if constexpr (std::is_same_v<Station, mac::WlanStation>) {
+                    st->start(ap_->config().beacon_interval, ap_->config().beacon_interval);
+                } else if constexpr (std::is_same_v<Station, mac::EcMacStation>) {
+                    st->start(ecmac_->superframe_anchor());
+                } else if constexpr (std::is_same_v<Station, policy::PolicyStation>) {
+                    st->start();
+                }  // a piconet slave is live once it joined
+            },
+            row.station);
     }
     for (Row& row : rows_) row.playout->start();
     for (Row& row : rows_) row.source->start();

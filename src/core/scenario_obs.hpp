@@ -1,7 +1,7 @@
 #pragma once
 /// \file scenario_obs.hpp
 /// End-of-run result/observability folds shared by the scenario engines
-/// (core/scenarios.cpp and core/hotspot_world.cpp): per-client metric
+/// (core/bss_world.cpp and core/hotspot_world.cpp): per-client metric
 /// assembly and the per-client / kernel registry folds, under the stable
 /// keys dashboards and the experiment runner merge on.
 

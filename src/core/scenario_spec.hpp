@@ -509,8 +509,8 @@ struct FaultSurface {
     }
 };
 
-/// The fault table: what \p spec's world injects.  Defined beside the
-/// BSS worlds' hook binder (scenarios.cpp; the hotspot binder is in
+/// The fault table: what \p spec's world injects (scenarios.cpp; the
+/// binders are BssWorld::bind_faults and the hotspot's, in
 /// hotspot_world.cpp); validate() refuses every other kind, so a
 /// validated plan always arms.
 [[nodiscard]] FaultSurface injectable_faults(const ScenarioSpec& spec);

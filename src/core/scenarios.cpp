@@ -95,11 +95,10 @@ namespace {
 ScenarioResult sim_bss(const ScenarioSpec& spec, std::uint64_t seed) {
     sim::Simulator sim;
     BssWorld world(sim, spec, seed, obs::current_ledger());
-    const sim::Random root(seed);
     std::unique_ptr<fault::FaultInjector> injector;
     if (!spec.stream().fault_plan.empty()) {
         injector = std::make_unique<fault::FaultInjector>(sim, spec.stream().fault_plan,
-                                                          root.fork(900));
+                                                          sim::Random(seed).fork(900));
         world.bind_faults(*injector, injectable_faults(spec));
     }
     world.start();
