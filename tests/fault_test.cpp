@@ -428,8 +428,6 @@ TEST(FaultTableTest, ValidateAcceptsExactlyWhatEachWorldRuns) {
     fault::FaultPlan one_of_each[11];
     one_of_each[0].nic_lockup(1_s, 1_s);
     one_of_each[1].wake_stuck(1_s, 5_ms);
-    // Longer than a PSM station's beacon timeout plus its wake guard.
-    one_of_each[10].wake_stuck(1_s, 50_ms);
     one_of_each[2].beacon_loss(1_s, 1_s);
     one_of_each[3].poll_drop(1_s, 1_s, 0.5);
     one_of_each[4].blackout(1_s, 1_s);
@@ -438,6 +436,8 @@ TEST(FaultTableTest, ValidateAcceptsExactlyWhatEachWorldRuns) {
     one_of_each[7].silent_leave(1_s, 1);
     one_of_each[8].delayed_registration(1_s, 1);
     one_of_each[9].schedule_drop(1_s, 1_s, 0.5);
+    // Longer than a PSM station's beacon timeout plus its wake guard.
+    one_of_each[10].wake_stuck(1_s, 50_ms);
 
     for (const auto& [name, base] : spellings) {
         for (const fault::FaultPlan& plan : one_of_each) {

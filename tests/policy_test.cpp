@@ -246,8 +246,9 @@ TEST(PamasTest, ConfigValidateRejectsMalformedTables) {
 
 TEST(PamasTest, WorldDrainsBatteryWhileDutyCycling) {
     sim::Simulator sim;
-    core::BssWorld world(sim, policy_spec(policy::PowerPolicyConfig::of(policy::PolicyKind::pamas), 1),
-                         11, nullptr);
+    core::BssWorld world(
+        sim, policy_spec(policy::PowerPolicyConfig::of(policy::PolicyKind::pamas), 1), 11,
+        nullptr);
     world.start();
     sim.run_until(Time::from_seconds(20));
     (void)world.finish();
