@@ -114,6 +114,40 @@ std::vector<Scenario> scenarios() {
         .wake_stuck(Time::from_seconds(3), Time::from_ms(80), 2);
     out.push_back({"psm_wake_stuck", core::ScenarioSpec::psm().with_clients(3).with_duration(
                                          Time::from_seconds(20)).with_fault_plan(stuck)});
+
+    // The hotspot world: WLAN only at 8 and 10 clients (48 KB bursts,
+    // 300 s, seed 5), BT only, and the default mixed workload.
+    core::StreamConfig wlan_only;
+    wlan_only.duration = Time::from_seconds(300);
+    wlan_only.seed = 5;
+    for (const int clients : {8, 10}) {
+        wlan_only.clients = clients;
+        out.push_back({"hotspot_wlan_only_" + std::to_string(clients),
+                       core::ScenarioSpec::hotspot().with_stream(wlan_only).with_hotspot(
+                           core::HotspotConfig{}
+                               .with_bt_available(false)
+                               .with_target_burst(DataSize::from_kilobytes(48)))});
+    }
+    out.push_back({"hotspot_bt_only_3", core::ScenarioSpec::hotspot().with_stream(fig2).with_hotspot(
+                                            core::HotspotConfig{}.with_wlan_available(false))});
+    out.push_back({"hotspot_mixed_default", core::ScenarioSpec::hotspot_mixed()});
+
+    // hotspot_cli's degrade recovery preset (liveness reclaim, burst
+    // repair, rejoin, media proxy) under every hotspot fault kind.
+    core::StreamConfig degrade;
+    degrade.clients = 7;
+    degrade.duration = Time::from_seconds(60);
+    degrade.fault_plan = fault::FaultPlan::parse(
+        "nic-lockup@10+5;wake-stuck@12+0.05;blackout@30+5:wlan;crash@20+10:c3;"
+        "silent-leave@40:c4;late-join@5:c7;schedule-drop@45+5%0.5");
+    out.push_back({"hotspot_degrade_faults",
+                   core::ScenarioSpec::hotspot().with_stream(degrade).with_hotspot(
+                       core::HotspotConfig{}
+                           .with_resilience(core::ResilienceConfig{}
+                                                .with_liveness_timeout(Time::from_seconds(5))
+                                                .with_burst_repair(true))
+                           .with_rejoin(core::RejoinPolicy{})
+                           .with_media_proxy(core::MediaProxy::Config{}))});
     return out;
 }
 
