@@ -7,8 +7,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <string>
 
 #include "channel/ber.hpp"
 #include "channel/gilbert_elliott.hpp"
@@ -232,45 +233,12 @@ void BM_HotspotScenarioSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_HotspotScenarioSecond);
 
-void BM_ShardedHotspot(benchmark::State& state) {
-    // One run of the 64-client multi-cell hotspot on the sharded kernel,
-    // by worker thread count (0 = the inline sequential reference the
-    // strict policy is bit-identical to).  Real time, not CPU time: the
-    // point is wall-clock speedup of a single simulation.
-    //
-    // WLANPS_BENCH_NO_HEALTH skips the HealthReport attach so
-    // check_perf.sh can price the attached shard telemetry (obs builds
-    // attach it through options.health) against the same binary without
-    // it — a plain-vs-obs comparison would fold in every other
-    // compiled-in obs cost on the sim path.
-    const bool attach_health = std::getenv("WLANPS_BENCH_NO_HEALTH") == nullptr;
-    obs::HealthReport health;
-    for (auto _ : state) {
-        core::StreamConfig config;
-        config.clients = 64;
-        config.duration = Time::from_seconds(10);
-        core::HotspotConfig options;
-        options.bt_available = false;  // 8 clients per cell exceeds a piconet
-        options.sharding = core::ShardingConfig{}.with_shards(8).with_threads(
-            static_cast<int>(state.range(0)));
-        if (attach_health) options.health = &health;
-        auto result = core::SimBackend{}.run(
-            core::ScenarioSpec::hotspot().with_stream(config).with_hotspot(options));
-        benchmark::DoNotOptimize(result);
-    }
-    state.SetItemsProcessed(state.iterations() * 10);  // simulated seconds
-    state.counters["shard_imbalance"] = health.imbalance_index;
-    state.counters["barrier_wait_ms"] = static_cast<double>(health.barrier_wait_ns) / 1e6;
-    state.counters["idle_jumps"] = static_cast<double>(health.idle_jumps);
-    state.counters["quanta"] = static_cast<double>(health.quanta);
-}
-BENCHMARK(BM_ShardedHotspot)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-void BM_Federation(benchmark::State& state) {
-    // One run of a 16-AP federation — roaming clients, a flash crowd, and
-    // admission control on the sharded kernel — by worker thread count
-    // (0 = the inline sequential reference strict mode is bit-identical
-    // to).  Real time: the point is wall-clock cost of a city-scale run.
+/// One run of a 16-AP federation — roaming clients, a flash crowd, and
+/// admission control on the sharded kernel — by worker thread count
+/// (0 = the inline sequential reference strict mode is bit-identical to),
+/// writing its health report to \p health_path unless it is empty.  Real
+/// time: the point is wall-clock cost of a city-scale run.
+void run_federation(benchmark::State& state, const std::string& health_path) {
     obs::HealthReport health;
     for (auto _ : state) {
         core::StreamConfig config;
@@ -282,7 +250,8 @@ void BM_Federation(benchmark::State& state) {
             .with_threads(static_cast<int>(state.range(0)))
             .with_roaming(Time::from_seconds(8))
             .with_admission(core::AdmissionPolicy::defer)
-            .with_capacity_per_ap(256);
+            .with_capacity_per_ap(256)
+            .with_health_path(health_path);
         fed.base_arrival_hz = 2.0;
         fed.flash_arrival_hz = 50.0;
         fed.flash_start = Time::from_seconds(10);
@@ -300,7 +269,20 @@ void BM_Federation(benchmark::State& state) {
     state.counters["idle_jumps"] = static_cast<double>(health.idle_jumps);
     state.counters["quanta"] = static_cast<double>(health.quanta);
 }
+
+void BM_Federation(benchmark::State& state) { run_federation(state, ""); }
 BENCHMARK(BM_Federation)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+void BM_FederationHealthFile(benchmark::State& state) {
+    // BM_Federation plus a health file in the temp directory.  A health
+    // path is the one way a federation attaches its per-quantum shard
+    // telemetry without a scoped registry, so in a -DWLANPS_OBS=ON build
+    // check_perf.sh prices the attached telemetry (and the file write)
+    // against BM_Federation/0 in the same binary.
+    run_federation(
+        state, (std::filesystem::temp_directory_path() / "bm_federation_health.json").string());
+}
+BENCHMARK(BM_FederationHealthFile)->Arg(0)->UseRealTime();
 
 void BM_ExperimentSweep(benchmark::State& state) {
     // An 8-run Hotspot sweep through the experiment runner at 1..N worker

@@ -10,8 +10,12 @@
 ///               [--obs-trace FILE] [--obs-metrics FILE] [--obs-health FILE]
 ///               [--obs-stream FILE] [--obs-sample-interval S] [--obs-flight N]
 ///               [--obs-post-mortem PREFIX] [--obs-post-mortem-threshold S]
+///               [--federation] [--aps N] [--shards N] [--threads N]
+///               [--roaming DWELL_S] [--admission reject|defer|degrade]
+///               [--capacity N] [--arrivals HZ] [--flash HZ]
 ///
 ///   --config: hotspot (default) | wlan-cam | wlan-psm | bt | ecmac | mixed
+///            | federation (--federation is the same)
 ///   --policy: run one BSS under a pluggable power policy instead of a
 ///            --config shape: cam | psm | ecmac | micro_nap | pamas
 ///            (micro_nap = in-exchange NAV/backoff micro-sleeps; pamas =
@@ -36,12 +40,15 @@
 ///   --obs-metrics: write the run's obs metrics snapshot as flat JSON;
 ///            always includes the per-client energy ledger
 ///   --obs-health: write the kernel health report — per-shard
-///            barrier/imbalance attribution, per-cell rollups (federation),
+///            barrier/imbalance attribution and per-cell rollups (federation),
 ///            watchdog reports — as deterministic JSON.  Shard attribution
-///            needs a -DWLANPS_OBS=ON build and a sharded run (--federation,
-///            or --config hotspot --shards N)
+///            needs a -DWLANPS_OBS=ON build and --config federation
 ///   --obs-stream: stream federation metrics incrementally to a compact
 ///            WPSM binary file (bench_diff.py decodes it)
+/// Federation (city scale, src/fed): --aps, --shards, --threads, --roaming,
+///   --admission, --capacity, --arrivals, --flash and --obs-stream shape
+///   the federation only; any other run (--config or --policy) refuses them
+///   with exit code 2.
 ///   --obs-sample-interval: poll queue depth / live clients / per-client
 ///            energy every S sim-seconds and export them as counter tracks
 ///            in the --obs-trace file; also drives the watchdog sweep
@@ -69,6 +76,7 @@
 ///   hotspot_cli --fault-plan "crash@30+15:c1" --recovery rejoin
 ///   hotspot_cli --obs-trace hotspot_trace.json --obs-metrics metrics.json
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -76,6 +84,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analytic/backend.hpp"
@@ -112,7 +121,8 @@ namespace {
                  "          [--obs-post-mortem PREFIX] [--obs-post-mortem-threshold S]\n"
                  "          [--federation] [--aps N] [--shards N] [--threads N]\n"
                  "          [--roaming DWELL_S] [--admission reject|defer|degrade]\n"
-                 "          [--capacity N] [--arrivals HZ] [--flash HZ]\n",
+                 "          [--capacity N] [--arrivals HZ] [--flash HZ]\n"
+                 "  (--aps through --flash and --obs-stream need --config federation)\n",
                  argv0);
     std::exit(2);
 }
@@ -227,11 +237,19 @@ int main(int argc, char** argv) {
     std::size_t flight_capacity = 0;
     std::string postmortem_prefix;
     double postmortem_threshold_s = 1.0;
-    int shards_flag = -1;
-    int threads_flag = -1;
+    // Flags that shape the federation only; the first one given, if any.
+    static constexpr std::string_view kFederationFlags[] = {
+        "--aps", "--shards", "--threads", "--roaming", "--admission",
+        "--capacity", "--arrivals", "--flash", "--obs-stream"};
+    std::string federation_flag;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (federation_flag.empty() &&
+            std::find(std::begin(kFederationFlags), std::end(kFederationFlags), arg) !=
+                std::end(kFederationFlags)) {
+            federation_flag = arg;
+        }
         auto next = [&]() -> const char* {
             if (i + 1 >= argc) usage(argv[0]);
             return argv[++i];
@@ -289,11 +307,9 @@ int main(int argc, char** argv) {
         } else if (arg == "--aps") {
             fed_options.with_aps(std::atoi(next()));
         } else if (arg == "--shards") {
-            shards_flag = std::atoi(next());
-            fed_options.with_shards(shards_flag);
+            fed_options.with_shards(std::atoi(next()));
         } else if (arg == "--threads") {
-            threads_flag = std::atoi(next());
-            fed_options.with_threads(threads_flag);
+            fed_options.with_threads(std::atoi(next()));
         } else if (arg == "--roaming") {
             fed_options.with_roaming(Time::from_seconds(std::atof(next())));
         } else if (arg == "--admission") {
@@ -316,12 +332,13 @@ int main(int argc, char** argv) {
         }
     }
 
-    // --shards/--threads name whichever sharded world runs: the federation,
-    // or the sharded hotspot (--config hotspot --shards N).  A mixed
-    // workload takes them too, so validate() refuses the combination.
-    if (kind == "hotspot" || kind == "mixed") {
-        if (shards_flag > 0) options.sharding.with_shards(shards_flag);
-        if (threads_flag >= 0) options.sharding.with_threads(threads_flag);
+    // --policy replaces --config, so only a policy-less federation run
+    // reads the federation flags: refuse them anywhere else rather than
+    // run something the user did not ask for.
+    if (!federation_flag.empty() && (kind != "federation" || !policy_name.empty())) {
+        std::fprintf(stderr, "error: %s only applies to --config federation\n",
+                     federation_flag.c_str());
+        return 2;
     }
 
     // Recovery presets stack: reclaim < rejoin < degrade.
@@ -482,12 +499,8 @@ int main(int argc, char** argv) {
         };
     }
 
-    // Kernel health rollup: the sharded hotspot fills this in place; the
-    // federation builds and writes its own report via fed_options.
-    obs::HealthReport health_report;
-    if (kind == "hotspot" && policy_name.empty() && options.sharding.enabled()) {
-        options.health = &health_report;
-    }
+    // The federation builds and writes its own health report via
+    // fed_options; a single-queue run writes the watchdog's below.
     if (!health_path.empty()) fed_options.with_health_path(health_path);
 
     try {
@@ -595,9 +608,8 @@ int main(int argc, char** argv) {
         }
         print_watchdog(watchdog);
         if (!health_path.empty()) {
-            if (options.health == nullptr) {
-                health_report.scope = policy_name.empty() ? kind : "policy-" + policy_name;
-            }
+            obs::HealthReport health_report;
+            health_report.scope = policy_name.empty() ? kind : "policy-" + policy_name;
             health_report.set_watchdog(watchdog);
             health_report.write_file(health_path);
             std::printf("health report written to %s\n", health_path.c_str());

@@ -8,7 +8,7 @@
 #   * BM_EventPostDispatch      — the no-handle event kernel fast path
 #   * BM_PerTableLookup         — scalar BER→PER interpolation
 #   * BM_PerTableLookupBatch    — vectorized burst BER→PER interpolation
-#   * BM_ShardedHotspot/0       — 64-client sharded hotspot, inline kernel
+#   * BM_Federation/0           — 2,000-client, 16-AP federation, inline kernel
 #
 # The baseline is machine-specific; refresh it with --update-baseline when
 # benching on new hardware, and treat cross-machine failures as advisory.
@@ -16,8 +16,8 @@
 # far more stable than the median on loaded or frequency-scaled hosts,
 # where a background blip can shift the median of a short run by 10%+.
 #
-# Sharded speedup gate: BM_ShardedHotspot/4 (4 worker threads) must beat
-# BM_ShardedHotspot/0 (inline) by >= 2.5x wall clock — enforced only when
+# Sharded speedup gate: BM_Federation/4 (4 worker threads) must beat
+# BM_Federation/0 (inline) by >= 2.5x wall clock — enforced only when
 # the host has >= 4 cores.  On smaller hosts (including the single-core CI
 # container) barrier-quantum workers cannot run concurrently, so the ratio
 # is reported but not gated.
@@ -27,11 +27,12 @@
 #
 #   * BM_EventPostDispatch, plain build vs obs build — the
 #     compiled-in-but-unattached cost (one null-check per dispatch).
-#   * BM_ShardedHotspot/0, obs build with vs without the HealthReport
-#     attach (WLANPS_BENCH_NO_HEALTH skips it) — the attached per-quantum
-#     shard telemetry, priced against the *same binary* so the
-#     comparison isolates the telemetry instead of folding in every
-#     other compiled-in obs hook on the sim path.
+#   * BM_FederationHealthFile/0 vs BM_Federation/0, both in the obs
+#     build — the same run with a health file, which is what attaches
+#     the per-quantum shard telemetry without a scoped registry.  The
+#     attached side also writes that JSON file once per run.  Pricing
+#     it in the *same binary* isolates the telemetry instead of folding
+#     in every other compiled-in obs hook on the sim path.
 #
 # Both comparisons run as interleaved A/B rounds with the order
 # alternating per round, and the gate statistic is the MEDIAN of the
@@ -63,7 +64,7 @@ cmake --build "$OBS_BUILD_DIR" -j "$(nproc)" --target bench_perf_kernel >/dev/nu
 
 RESULT_JSON="$BUILD_DIR/check_perf_result.json"
 "./$BUILD_DIR/bench/bench_perf_kernel" \
-    --benchmark_filter='^BM_EventPostDispatch$|^BM_PerTableLookup(Batch)?$|^BM_ShardedHotspot/[04]/' \
+    --benchmark_filter='^BM_EventPostDispatch$|^BM_PerTableLookup(Batch)?$|^BM_Federation/[04]/' \
     --benchmark_repetitions=7 \
     --benchmark_format=json >"$RESULT_JSON"
 
@@ -85,14 +86,14 @@ ab_dispatch_obs() {
         --benchmark_format=json >"$OBS_CMP_DIR/obs_$1.json"
 }
 ab_telemetry_off() {
-    WLANPS_BENCH_NO_HEALTH=1 "./$OBS_BUILD_DIR/bench/bench_perf_kernel" \
-        --benchmark_filter='^BM_ShardedHotspot/0/' \
+    "./$OBS_BUILD_DIR/bench/bench_perf_kernel" \
+        --benchmark_filter='^BM_Federation/0/' \
         --benchmark_repetitions=2 \
         --benchmark_format=json >"$OBS_CMP_DIR/tel_off_$1.json"
 }
 ab_telemetry_on() {
     "./$OBS_BUILD_DIR/bench/bench_perf_kernel" \
-        --benchmark_filter='^BM_ShardedHotspot/0/' \
+        --benchmark_filter='^BM_FederationHealthFile/0/' \
         --benchmark_repetitions=2 \
         --benchmark_format=json >"$OBS_CMP_DIR/tel_on_$1.json"
 }
@@ -120,10 +121,10 @@ GATED = [
     "BM_EventPostDispatch",
     "BM_PerTableLookup",
     "BM_PerTableLookupBatch",
-    "BM_ShardedHotspot/0/real_time",
+    "BM_Federation/0/real_time",
 ]
 BUDGET = 1.05  # 5% regression budget per gated benchmark
-SPEEDUP_TARGET = 2.5  # BM_ShardedHotspot 4-thread wall-clock vs inline
+SPEEDUP_TARGET = 2.5  # BM_Federation 4-thread wall-clock vs inline
 SPEEDUP_MIN_CORES = 4
 
 
@@ -146,14 +147,14 @@ cpu = mins(result_json, "cpu_time")
 real = mins(result_json, "real_time")
 
 
-def paired_ratio_median(prefix_num, prefix_den, name, field):
+def paired_ratio_median(prefix_num, prefix_den, num_name, den_name, field):
     # One ratio per A/B round (the pair ran adjacent in time, so host
     # drift cancels within it), median across rounds (alternating order
     # cancels the residual position bias).
     ratios = []
     for den_path in sorted(glob.glob(os.path.join(obs_cmp_dir, prefix_den + "_*.json"))):
         num_path = den_path.replace(prefix_den + "_", prefix_num + "_")
-        ratios.append(mins(num_path, field)[name] / mins(den_path, field)[name])
+        ratios.append(mins(num_path, field)[num_name] / mins(den_path, field)[den_name])
     ratios.sort()
     mid = len(ratios) // 2
     if len(ratios) % 2:
@@ -162,12 +163,13 @@ def paired_ratio_median(prefix_num, prefix_den, name, field):
 
 
 obs_dispatch_ratio = paired_ratio_median(
-    "obs", "plain", "BM_EventPostDispatch", "cpu_time")
-# Attached-telemetry overhead: same obs binary with and without the
-# HealthReport attach, so the delta is exactly the per-quantum shard
-# telemetry (plus the one-time rollup), nothing else.
+    "obs", "plain", "BM_EventPostDispatch", "BM_EventPostDispatch", "cpu_time")
+# Attached-telemetry overhead: same obs binary, the federation run with
+# and without a health file, so the delta is the per-quantum shard
+# telemetry plus the one JSON write per run, nothing else.
 telemetry_ratio = paired_ratio_median(
-    "tel_on", "tel_off", "BM_ShardedHotspot/0/real_time", "real_time")
+    "tel_on", "tel_off", "BM_FederationHealthFile/0/real_time",
+    "BM_Federation/0/real_time", "real_time")
 
 if update:
     with open(baseline_path, "w") as f:
@@ -200,10 +202,10 @@ if not update:
 # the ratio is still printed, and the result JSON records the gate state
 # so downstream tooling (bench_diff.py, CI artifacts) can tell a genuine
 # pass from a host that simply could not run the comparison.
-inline_ns = real["BM_ShardedHotspot/0/real_time"]
-par_ns = real["BM_ShardedHotspot/4/real_time"]
+inline_ns = real["BM_Federation/0/real_time"]
+par_ns = real["BM_Federation/4/real_time"]
 speedup = inline_ns / par_ns if par_ns > 0 else 0.0
-print(f"BM_ShardedHotspot wall clock: inline {inline_ns:.0f} ns, "
+print(f"BM_Federation wall clock: inline {inline_ns:.0f} ns, "
       f"4 threads {par_ns:.0f} ns -> speedup {speedup:.2f}x "
       f"({cores} core(s) on this host)")
 if cores >= SPEEDUP_MIN_CORES:
@@ -237,7 +239,7 @@ if obs_dispatch_ratio > 1.05:
     print("FAIL: compiled-in observability costs more than 5% on the dispatch path")
     ok = False
 
-print(f"BM_ShardedHotspot/0 [WLANPS_OBS=ON, telemetry attached vs detached]: "
+print(f"BM_Federation/0 [WLANPS_OBS=ON, telemetry attached vs detached]: "
       f"{(telemetry_ratio - 1) * 100:+.1f}% "
       f"(median paired ratio, limit +5%)")
 if telemetry_ratio > 1.05:

@@ -97,13 +97,10 @@ void HotspotClient::execute_burst(std::size_t index, DataSize size, Time start,
     burst_pending_ = true;
     sim_.post_at(wake_at, [this, &ch, size, done = std::move(done)]() mutable {
         if (crashed_) {
-            // The schedule message reached a corpse: nothing wakes and the
-            // burst never starts.  By default no completion fires — exactly
-            // the wedge the server's repair watchdog exists for.  Grant
-            // planners without a watchdog opt into an explicit zero-delivery
-            // completion instead.
+            // The schedule message reached a corpse: nothing wakes, the
+            // burst never starts and no completion fires — exactly the
+            // wedge the server's repair watchdog exists for.
             burst_pending_ = false;
-            if (notify_crash_drops_ && done) done(BurstChannel::Result{});
             return;
         }
         // The wake transition's energy belongs to this burst's flow: close

@@ -69,13 +69,6 @@ public:
     /// The device comes back (cold: NICs deep asleep, not registered).
     void revive();
     [[nodiscard]] bool crashed() const { return crashed_; }
-    /// Fire the burst completion with a zero-delivery Result when a burst
-    /// reaches a crashed device, instead of dropping it silently.  The
-    /// sequential server relies on the silent drop (its repair watchdog
-    /// is the recovery path); the sharded grant planner has no watchdog
-    /// and needs the explicit zero completion to keep its book-keeping
-    /// live.
-    void set_notify_crash_drops(bool v) { notify_crash_drops_ = v; }
     /// A server-scheduled burst has been issued but its transfer has not
     /// begun yet (the wake is in flight).  The burst-repair watchdog
     /// checks this to avoid reclaiming an interface a late wake is about
@@ -121,7 +114,6 @@ private:
     power::Energy battery_charged_;  // WNIC energy already drained
     bool crashed_ = false;
     bool burst_pending_ = false;
-    bool notify_crash_drops_ = false;
 };
 
 }  // namespace wlanps::core

@@ -1,10 +1,9 @@
 #pragma once
 /// \file hotspot_world.hpp
-/// Every hotspot world (paper §2) comes from one module: the single-queue
-/// HotspotServer world (stored MP3, proxied A/V, or a MixedWorkload's
-/// rows) and the sharded multi-cell world under a schedule-ahead grant
-/// planner.  Both build clients with one cell helper and bind faults with
-/// one binder.  See DESIGN.md §12.
+/// The hotspot world (paper §2): one HotspotServer on one event queue,
+/// serving stored MP3, proxied A/V, or a MixedWorkload's rows over a
+/// WLAN interface and one Bluetooth piconet.  City scale is the
+/// federation (src/fed).  See DESIGN.md §12.
 
 #include <cstdint>
 
@@ -13,7 +12,9 @@
 namespace wlanps::core {
 
 /// Build and run the world of the validated hotspot \p spec, with \p seed
-/// as the root RNG seed (it overrides spec.stream().seed).
+/// as the root RNG seed (it overrides spec.stream().seed).  RNG streams:
+/// piconet 100, client rows 300/400/500 + row offset, fault injector 900,
+/// schedule drops 902, rejoin agents 910 + index.
 [[nodiscard]] ScenarioResult sim_hotspot(const ScenarioSpec& spec, std::uint64_t seed);
 
 }  // namespace wlanps::core

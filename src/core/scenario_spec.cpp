@@ -33,7 +33,7 @@ void require_piconet_fits(int clients_per_piconet) {
                        "clients per piconet must be <= " + std::to_string(max) + " (got " +
                            std::to_string(clients_per_piconet) +
                            " on one piconet) — use fewer clients, or on a hotspot set "
-                           "bt_available = false or add shards");
+                           "bt_available = false");
 }
 
 }  // namespace
@@ -73,17 +73,6 @@ void PsmConfig::validate() const {
 void EcmacConfig::validate() const {
     WLANPS_REQUIRE_MSG(superframe > Time::zero(),
                        "EcmacConfig.superframe must be positive");
-}
-
-void ShardingConfig::validate() const {
-    WLANPS_REQUIRE_MSG(shards >= 0, "ShardingConfig.shards cannot be negative");
-    if (!enabled()) return;
-    WLANPS_REQUIRE_MSG(threads >= 0, "ShardingConfig.threads cannot be negative");
-    WLANPS_REQUIRE_MSG(threads <= shards,
-                       "ShardingConfig.threads (" + std::to_string(threads) +
-                           ") cannot exceed shards (" + std::to_string(shards) +
-                           ") — excess workers would never hold a shard; "
-                           "lower threads or raise shards");
 }
 
 std::string_view to_string(AdmissionPolicy policy) {
@@ -183,23 +172,6 @@ void HotspotConfig::validate() const {
         WLANPS_REQUIRE_MSG(proxy_config.audio_rate < proxy_config.av_rate,
                            "HotspotConfig.proxy_config.audio_rate must be below av_rate");
     }
-    sharding.validate();
-    if (sharding.enabled()) {
-        // The sharded world replaces HotspotServer with the schedule-ahead
-        // control plane; the features below live in the server (or assume
-        // one global event queue) and would be silently ignored.
-        WLANPS_REQUIRE_MSG(!media_proxy,
-                           "sharded hotspot does not support the media proxy yet");
-        WLANPS_REQUIRE_MSG(!rejoin_enabled,
-                           "sharded hotspot does not support rejoin agents yet");
-        WLANPS_REQUIRE_MSG(resilience.liveness_timeout.is_zero() && !resilience.burst_repair,
-                           "sharded hotspot does not support the resilience layer yet");
-        WLANPS_REQUIRE_MSG(bt_quality_script.empty(),
-                           "sharded hotspot does not support BT quality scripts yet");
-        WLANPS_REQUIRE_MSG(fault_trace == nullptr && !contract_tweak && !on_start && !inspect,
-                           "sharded hotspot does not support server callbacks/traces "
-                           "(on_start, inspect, contract_tweak, fault_trace)");
-    }
 }
 
 void MixedWorkload::validate() const {
@@ -247,9 +219,7 @@ std::string ScenarioSpec::label() const {
         case Policy::ecmac: return "ec-mac";
         case Policy::bt: return "bt-active";
         case Policy::hotspot:
-            if (has_mix()) return "hotspot-mixed-" + hotspot_.scheduler;
-            return (hotspot_.sharding.enabled() ? "hotspot-sharded-" : "hotspot-") +
-                   hotspot_.scheduler;
+            return (has_mix() ? "hotspot-mixed-" : "hotspot-") + hotspot_.scheduler;
         case Policy::federation:
             return "federation-" + std::string(to_string(fed_.admission));
     }
@@ -292,7 +262,7 @@ std::string ScenarioSpec::describe() const {
         case Policy::federation:
             out += " aps=" + std::to_string(fed_.aps);
             out += " shards=" + std::to_string(fed_.shards);
-            out += " sim_threads=" + std::to_string(fed_.threads);
+            out += " threads=" + std::to_string(fed_.threads);
             out += " admission=" + std::string(to_string(fed_.admission));
             out += " capacity=" + std::to_string(fed_.capacity_per_ap);
             if (fed_.roaming) out += " dwell_s=" + fmt(fed_.mean_dwell.to_seconds());
@@ -319,10 +289,6 @@ std::string ScenarioSpec::describe() const {
             out += " cap=" + fmt(hotspot_.utilization_cap);
             if (hotspot_.media_proxy) out += " media_proxy=1";
             if (hotspot_.rejoin_enabled) out += " rejoin=1";
-            if (hotspot_.sharding.enabled()) {
-                out += " shards=" + std::to_string(hotspot_.sharding.shards);
-                out += " sim_threads=" + std::to_string(hotspot_.sharding.threads);
-            }
             break;
     }
     return out;
@@ -423,15 +389,8 @@ void ScenarioSpec::validate() const {
                                    "a mixed workload feeds each client from its row (stored "
                                    "MP3, live video, live web) — clear media_proxy or drop "
                                    "the mix");
-                WLANPS_REQUIRE_MSG(!hotspot_.sharding.enabled(),
-                                   "a mixed workload runs on the single-queue hotspot — set "
-                                   "sharding.shards = 0 or drop the mix");
             }
-            if (hotspot_.bt_available) {
-                // One piconet per cell; the single-queue hotspot is one cell.
-                const int cells = std::max(1, hotspot_.sharding.shards);
-                require_piconet_fits((clients() + cells - 1) / cells);
-            }
+            if (hotspot_.bt_available) require_piconet_fits(clients());
             break;
         case Policy::federation:
             fed_.validate();

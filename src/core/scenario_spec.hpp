@@ -35,10 +35,6 @@ namespace wlanps::sim {
 class Simulator;
 }
 
-namespace wlanps::obs {
-struct HealthReport;
-}
-
 namespace wlanps::core {
 
 class HotspotServer;
@@ -112,30 +108,9 @@ struct EcmacConfig {
     void validate() const;
 };
 
-/// Cross-shard lookahead of both sharded worlds (the sharded hotspot and
-/// the federation): the kernel quantum, the GrantPlanner's grant latency
-/// and the federation's handoff delay.
+/// Cross-shard lookahead of the federation (src/fed): the sharded
+/// kernel's quantum and the delay of a roaming client's handoff.
 inline constexpr Time kShardLookahead = Time::from_ms(20);
-
-/// Sharded parallel execution of the hotspot world (sim/sharded.hpp):
-/// clients are partitioned into per-shard AP cells, each advanced on its
-/// own event queue by the conservative sharded kernel, with a schedule-
-/// ahead control plane on shard 0 issuing burst grants through cross-
-/// shard mailboxes.  shards == 0 keeps the classic single-queue scenario
-/// path.  See DESIGN.md §12.
-struct ShardingConfig {
-    int shards = 0;
-    /// Sim worker threads; 0 = inline sequential execution of the sharded
-    /// world — the reference every thread count is bit-identical to.
-    int threads = 0;
-
-    [[nodiscard]] bool enabled() const { return shards > 0; }
-
-    ShardingConfig& with_shards(int v) { shards = v; return *this; }
-    ShardingConfig& with_threads(int v) { threads = v; return *this; }
-
-    void validate() const;
-};
 
 /// Hotspot scheduling sub-configuration (paper §2: bursts + interface
 /// selection + park/off between bursts).
@@ -178,13 +153,6 @@ struct HotspotConfig {
     /// Invoked just before teardown for inspection (traces, reports).
     /// Simulation backend only.
     std::function<void(sim::Simulator&, HotspotServer&, std::vector<HotspotClient*>&)> inspect;
-    /// Sharded multi-cell execution (disabled by default).  Incompatible
-    /// with the proxy/rejoin/fault machinery — validate() enforces it.
-    ShardingConfig sharding;
-    /// Filled with the kernel health rollup after a sharded run (must
-    /// outlive the run; ignored by the single-kernel paths).  Simulation
-    /// backend only.
-    obs::HealthReport* health = nullptr;
 
     HotspotConfig& with_scheduler(std::string v) { scheduler = std::move(v); return *this; }
     HotspotConfig& with_target_burst(DataSize v) { target_burst = v; return *this; }
@@ -201,10 +169,6 @@ struct HotspotConfig {
     HotspotConfig& with_media_proxy(MediaProxy::Config v) {
         media_proxy = true;
         proxy_config = v;
-        return *this;
-    }
-    HotspotConfig& with_sharding(ShardingConfig v) {
-        sharding = v;
         return *this;
     }
 
@@ -461,7 +425,7 @@ public:
 
     /// Scenario label matching the historical ScenarioResult labels
     /// ("wlan-cam", "wlan-psm", "ec-mac", "bt-active", "hotspot-<sched>",
-    /// "hotspot-mixed-<sched>", "hotspot-sharded-<sched>").
+    /// "hotspot-mixed-<sched>").
     [[nodiscard]] std::string label() const;
 
     /// One-line serialized description: "policy=psm clients=3

@@ -57,21 +57,12 @@ FaultSurface injectable_faults(const ScenarioSpec& spec) {
                     "beacon-loss, poll-drop, blackout, corruption)"};
         case Policy::hotspot: {
             // The Hotspot has no beacon/PS-Poll MAC; its radio hooks exist
-            // only with a WLAN interface, and the sharded control plane has
-            // no schedule-message path.
+            // only with a WLAN interface.
             if (spec.has_mix()) {
                 return {0u, "a mixed-workload hotspot binds no fault hooks — use a "
                             "single-workload hotspot (ScenarioSpec::hotspot())"};
             }
-            const HotspotConfig& h = spec.hotspot_config();
-            const std::uint32_t radio = h.wlan_available ? kRadioFaults : 0u;
-            if (h.sharding.enabled()) {
-                return {radio | kLinkFaults | kClientFaults,
-                        "the sharded hotspot routes WLAN radio (with wlan_available), link, "
-                        "and client hooks (nic-lockup, wake-stuck, blackout, corruption, "
-                        "crash, silent-leave, late-join) — use the single-queue hotspot "
-                        "(shards = 0) for schedule-drop"};
-            }
+            const std::uint32_t radio = spec.hotspot_config().wlan_available ? kRadioFaults : 0u;
             return {radio | kLinkFaults | kClientFaults | bit(FaultKind::schedule_drop),
                     "the hotspot routes WLAN radio (with wlan_available), link, client, and "
                     "server hooks (nic-lockup, wake-stuck, blackout, corruption, crash, "

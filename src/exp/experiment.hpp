@@ -87,20 +87,7 @@ public:
         return *this;
     }
 
-    /// Worker threads *inside* each simulation (the sharded kernel's
-    /// ShardingConfig::threads), as opposed to the runner's across-run
-    /// pool.  Declarative: the factory must actually pass the value into
-    /// its scenarios; the runner uses it to shrink its own pool so
-    /// runner_threads x sim_threads stays within the host budget
-    /// (EXPERIMENTS.md, "Threads across runs vs. threads within a run").
-    /// 0 or 1 = runs are single-threaded (the default).
-    ExperimentSpec& with_sim_threads(unsigned v) {
-        sim_threads_ = v;
-        return *this;
-    }
-
     [[nodiscard]] const RunFn& run() const { return run_; }
-    [[nodiscard]] unsigned sim_threads() const { return sim_threads_; }
     [[nodiscard]] const std::string& backend() const { return backend_; }
     [[nodiscard]] const std::vector<ParamPoint>& points() const { return points_; }
     [[nodiscard]] const std::vector<std::uint64_t>& seeds() const { return seeds_; }
@@ -116,7 +103,6 @@ private:
     std::vector<ParamPoint> points_;
     std::vector<std::uint64_t> seeds_;
     std::string backend_ = "sim";
-    unsigned sim_threads_ = 0;
 };
 
 }  // namespace wlanps::exp

@@ -84,14 +84,7 @@ ExperimentResult ExperimentRunner::run(const ExperimentSpec& spec) const {
         }
     };
 
-    // Runs that are internally parallel (spec.sim_threads() sharded-kernel
-    // workers each) get a proportionally smaller across-run pool, keeping
-    // the total thread footprint near threads_ instead of multiplying the
-    // two axes together.
-    const unsigned per_run = std::max(1u, spec.sim_threads());
-    const unsigned budget = std::max(1u, threads_ / per_run);
-    const unsigned workers =
-        static_cast<unsigned>(std::min<std::size_t>(budget, total));
+    const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(threads_, total));
     if (workers <= 1) {
         for (std::size_t task = 0; task < total; ++task) execute(task);
     } else {

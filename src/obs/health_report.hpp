@@ -62,7 +62,7 @@ struct CellHealth {
 
 /// The full rollup for one run.
 struct HealthReport {
-    std::string scope;  ///< "sharded-hotspot" | "federation" | run label
+    std::string scope;  ///< "federation", or hotspot_cli's config name on one queue
     std::uint64_t shards = 0;
     /// Resolved worker threads (0 = inline).  Reported in the timing
     /// section only: the deterministic JSON body must be byte-identical

@@ -282,12 +282,6 @@ ShardStats ShardedSimulator::stats(std::size_t i) const {
     return s;
 }
 
-std::uint64_t ShardedSimulator::total_dispatched() const {
-    std::uint64_t total = 0;
-    for (auto& sh : shards_) total += sh->sim.events_dispatched();
-    return total;
-}
-
 void ShardedSimulator::publish_metrics(obs::MetricsRegistry& registry) const {
     obs::Histogram& dispatched = registry.histogram("sim.shard.dispatched");
     obs::Gauge& depth_peak = registry.gauge("sim.shard.mailbox_depth_peak");

@@ -18,8 +18,8 @@
 /// sequential (threads=0) execution of the same sharded world.  A late
 /// cross-shard event is a contract violation.
 ///
-/// The kernel is workload-agnostic: core/hotspot_world.cpp builds the
-/// multi-cell hotspot scenario on top of it.
+/// The kernel is workload-agnostic: src/fed builds the city-scale
+/// hotspot federation on top of it.
 
 #include <atomic>
 #include <condition_variable>
@@ -116,7 +116,6 @@ public:
     [[nodiscard]] std::uint64_t quanta() const { return quanta_; }
     /// Quanta whose start was fast-forwarded over an empty window.
     [[nodiscard]] std::uint64_t idle_jumps() const { return idle_jumps_; }
-    [[nodiscard]] std::uint64_t total_dispatched() const;
 
     /// Attach per-quantum attribution (obs/shard_telemetry.hpp).  The
     /// telemetry object must outlive every run_until(); recording sites

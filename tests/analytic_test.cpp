@@ -401,15 +401,10 @@ TEST(ScenarioSpecValidation, RejectsMoreClientsThanAPiconetHolds) {
     EXPECT_THROW(core::ScenarioSpec::bt().with_stream(stream(8, 60)).validate(),
                  ContractViolation);
     EXPECT_NO_THROW(core::ScenarioSpec::bt().with_stream(stream(7, 60)).validate());
-    // The fixes the refusal names: no BT, or one piconet per shard.
+    // The fix the refusal names: no BT.
     EXPECT_NO_THROW(core::ScenarioSpec::hotspot()
                         .with_stream(stream(8, 60))
                         .with_hotspot(core::HotspotConfig{}.with_bt_available(false))
-                        .validate());
-    EXPECT_NO_THROW(core::ScenarioSpec::hotspot()
-                        .with_stream(stream(8, 60))
-                        .with_hotspot(core::HotspotConfig{}.with_sharding(
-                            core::ShardingConfig{}.with_shards(2)))
                         .validate());
 }
 

@@ -195,13 +195,6 @@ TEST(MixedWorkloadTest, HonoursBtAvailable) {
     for (phy::Interface itf : serving) EXPECT_EQ(itf, phy::Interface::wlan);
 }
 
-TEST(MixedWorkloadTest, RefusesSharding) {
-    HotspotConfig options;
-    options.sharding = ShardingConfig{}.with_shards(2);
-    EXPECT_THROW(ScenarioSpec::hotspot_mixed().with_hotspot(options).validate(),
-                 ContractViolation);
-}
-
 TEST(MixedWorkloadTest, RefusesMediaProxy) {
     HotspotConfig options;
     options.media_proxy = true;

@@ -419,9 +419,6 @@ TEST(FaultTableTest, ValidateAcceptsExactlyWhatEachWorldRuns) {
         {"hotspot", core::ScenarioSpec::hotspot()},
         {"bt-only hotspot", core::ScenarioSpec::hotspot().with_hotspot(
                                 core::HotspotConfig{}.with_wlan_available(false))},
-        {"sharded hotspot", core::ScenarioSpec::hotspot().with_hotspot(
-                                core::HotspotConfig{}.with_sharding(
-                                    core::ShardingConfig{}.with_shards(2)))},
         {"hotspot_mixed", core::ScenarioSpec::hotspot_mixed().with_mix(
                               core::MixedWorkload{}.with_mp3(1).with_video(1).with_web(0))},
     };

@@ -119,12 +119,6 @@ TEST(FederationSpecTest, MacLevelFaultKindsAreRejectedPerKind) {
     EXPECT_THROW(spec.validate(), ContractViolation);
 }
 
-TEST(ShardingSpecTest, HotspotThreadsBeyondShardsAreRejected) {
-    core::HotspotConfig options;
-    options.sharding = core::ShardingConfig{}.with_shards(2).with_threads(4);
-    EXPECT_THROW(options.sharding.validate(), ContractViolation);
-}
-
 // --- slab budget ---------------------------------------------------------
 
 TEST(ClientSlabTest, PerClientFootprintStaysInBudget) {

@@ -243,41 +243,12 @@ TEST(FederationHealthTest, HealthJsonAndMetricsAreBitIdenticalAcrossThreads) {
     }
 }
 
-TEST(ShardedHealthTest, HotspotHealthIsBitIdenticalAcrossThreads) {
-    auto run_one = [](int threads) {
-        core::StreamConfig config;
-        config.clients = 16;
-        config.duration = Time::from_seconds(30);
-        core::HotspotConfig options;
-        options.bt_available = false;
-        options.sharding = core::ShardingConfig{}.with_shards(4).with_threads(threads);
-        obs::HealthReport health;
-        options.health = &health;
-        auto result = core::SimBackend{}.run(
-            core::ScenarioSpec::hotspot().with_stream(config).with_hotspot(options));
-        return health.to_json();
-    };
-    const std::string inline_json = run_one(0);
-    EXPECT_NE(inline_json.find("\"scope\":\"sharded-hotspot\""), std::string::npos);
-    for (int threads : {1, 2, 4}) {
-        EXPECT_EQ(inline_json, run_one(threads)) << threads << " threads";
-    }
-}
-
 TEST(ShardedHealthTest, TimingSectionOnlyAppearsOnRequest) {
-    core::StreamConfig config;
-    config.clients = 8;
-    config.duration = Time::from_seconds(10);
-    core::HotspotConfig options;
-    options.bt_available = false;
-    options.sharding = core::ShardingConfig{}.with_shards(2).with_threads(2);
-    obs::HealthReport health;
-    options.health = &health;
-    auto result = core::SimBackend{}.run(
-        core::ScenarioSpec::hotspot().with_stream(config).with_hotspot(options));
-    EXPECT_EQ(health.to_json(false).find("\"timing\""), std::string::npos);
-    EXPECT_NE(health.to_json(true).find("\"timing\""), std::string::npos);
-    const std::string with_timing = health.to_json(true);
+    const fed::FederationResult fr =
+        fed::run_federation(fed_spec(fed_config(/*threads=*/2, /*aps=*/4), 64));
+    EXPECT_EQ(fr.health.to_json(false).find("\"timing\""), std::string::npos);
+    const std::string with_timing = fr.health.to_json(true);
+    EXPECT_NE(with_timing.find("\"timing\""), std::string::npos);
     EXPECT_NE(with_timing.find("\"barrier_wait_ns\""), std::string::npos);
     EXPECT_NE(with_timing.find("\"barrier_overhead\""), std::string::npos);
 }

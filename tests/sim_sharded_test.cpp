@@ -2,18 +2,16 @@
 /// bit-identical to the inline (threads=0) execution of the same sharded
 /// world at every worker-thread count, mailboxes must merge in
 /// deterministic (time, source, sequence) order, and contract violations
-/// (lookahead, capacity) must fail loudly.  Scenario-level tests drive the
-/// same checks through the sharded multi-cell hotspot.
+/// (lookahead, capacity) must fail loudly.  The federation's own tests
+/// (fed_federation_test.cpp) drive the same checks at scenario level.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "core/backend.hpp"
-#include "core/scenario_spec.hpp"
-#include "fault/fault.hpp"
 #include "sim/assert.hpp"
 #include "sim/digest.hpp"
 #include "sim/sharded.hpp"
@@ -220,184 +218,3 @@ TEST(ShardedKernelTest, CallbackExceptionPropagatesFromWorkers) {
 
 }  // namespace
 }  // namespace wlanps::sim
-
-namespace wlanps::core {
-namespace {
-
-const SimBackend backend;
-
-ScenarioSpec sharded_spec(int clients, int shards, int threads, std::uint64_t seed,
-                          Time duration = Time::from_seconds(40)) {
-    StreamConfig stream;
-    stream.clients = clients;
-    stream.duration = duration;
-    stream.seed = seed;
-    HotspotConfig options;
-    options.sharding = ShardingConfig{}.with_shards(shards).with_threads(threads);
-    return ScenarioSpec::hotspot().with_stream(stream).with_hotspot(options);
-}
-
-void expect_bit_identical(const ScenarioResult& a, const ScenarioResult& b,
-                          const char* what) {
-    EXPECT_EQ(a.label, b.label);
-    ASSERT_EQ(a.clients.size(), b.clients.size()) << what;
-    for (std::size_t i = 0; i < a.clients.size(); ++i) {
-        // Exact equality, not near-equality: the strict barrier policy
-        // promises bit-identical floating-point trajectories.
-        EXPECT_EQ(a.clients[i].wnic_average.watts(), b.clients[i].wnic_average.watts())
-            << what << " client " << i;
-        EXPECT_EQ(a.clients[i].wnic_energy.joules(), b.clients[i].wnic_energy.joules())
-            << what << " client " << i;
-        EXPECT_EQ(a.clients[i].device_average.watts(), b.clients[i].device_average.watts())
-            << what << " client " << i;
-        EXPECT_EQ(a.clients[i].qos, b.clients[i].qos) << what << " client " << i;
-        EXPECT_EQ(a.clients[i].underruns, b.clients[i].underruns) << what << " client " << i;
-        EXPECT_EQ(a.clients[i].received, b.clients[i].received) << what << " client " << i;
-    }
-}
-
-TEST(ShardedHotspotTest, BitIdenticalAtEveryThreadCount) {
-    const ScenarioResult reference = backend.run(sharded_spec(5, 3, 0, 7));
-    EXPECT_EQ(reference.label, "hotspot-sharded-edf");
-    ASSERT_EQ(reference.clients.size(), 5u);
-    for (const ClientMetrics& c : reference.clients) {
-        EXPECT_GT(c.received.bytes(), 0u);
-        EXPECT_GT(c.wnic_energy.joules(), 0.0);
-    }
-    for (int threads : {1, 2, 3}) {  // validation caps workers at the shard count
-        const ScenarioResult parallel = backend.run(sharded_spec(5, 3, threads, 7));
-        expect_bit_identical(reference, parallel, "threads");
-    }
-}
-
-TEST(ShardedHotspotTest, Fig2ShapeBitIdenticalAcrossThreadCounts) {
-    // The fig2 world shape — 3 MP3 clients, one per cell, WLAN+BT — over a
-    // longer horizon, strict policy: every worker count must reproduce the
-    // inline run exactly.
-    const ScenarioResult reference =
-        backend.run(sharded_spec(3, 3, 0, 42, Time::from_seconds(120)));
-    for (const ClientMetrics& c : reference.clients) {
-        EXPECT_GT(c.received.bytes(), 0u);
-        EXPECT_GT(c.qos, 0.5);
-    }
-    for (int threads : {1, 2, 3}) {
-        const ScenarioResult parallel =
-            backend.run(sharded_spec(3, 3, threads, 42, Time::from_seconds(120)));
-        expect_bit_identical(reference, parallel, "fig2-shape threads");
-    }
-}
-
-TEST(ShardedHotspotTest, SeedSensitivity) {
-    const ScenarioResult a = backend.run(sharded_spec(4, 2, 2, 1));
-    const ScenarioResult b = backend.run(sharded_spec(4, 2, 2, 2));
-    ASSERT_EQ(a.clients.size(), b.clients.size());
-    bool any_difference = false;
-    for (std::size_t i = 0; i < a.clients.size(); ++i) {
-        if (a.clients[i].wnic_energy.joules() != b.clients[i].wnic_energy.joules()) {
-            any_difference = true;
-        }
-    }
-    EXPECT_TRUE(any_difference) << "seed is being ignored";
-}
-
-TEST(ShardedHotspotTest, WlanOnlySixtyFourClientSmoke) {
-    StreamConfig stream;
-    stream.clients = 64;
-    stream.duration = Time::from_seconds(8);
-    stream.seed = 3;
-    HotspotConfig options;
-    options.bt_available = false;  // 8 clients per cell exceeds a piconet
-    options.sharding = ShardingConfig{}.with_shards(8).with_threads(2);
-    const ScenarioResult result =
-        backend.run(ScenarioSpec::hotspot().with_stream(stream).with_hotspot(options));
-    ASSERT_EQ(result.clients.size(), 64u);
-    for (const ClientMetrics& c : result.clients) EXPECT_GT(c.received.bytes(), 0u);
-}
-
-TEST(ShardedHotspotTest, ShardingRejectsIncompatibleFeatures) {
-    StreamConfig stream;
-    stream.clients = 4;
-    stream.seed = 1;
-    {
-        HotspotConfig options;
-        options.media_proxy = true;
-        options.sharding = ShardingConfig{}.with_shards(2);
-        EXPECT_THROW(
-            backend.run(ScenarioSpec::hotspot().with_stream(stream).with_hotspot(options)),
-            ContractViolation);
-    }
-    {
-        // 64 BT clients over 8 cells = 8 per piconet > the 7-slave limit.
-        StreamConfig big = stream;
-        big.clients = 64;
-        HotspotConfig options;
-        options.sharding = ShardingConfig{}.with_shards(8);
-        EXPECT_THROW(
-            backend.run(ScenarioSpec::hotspot().with_stream(big).with_hotspot(options)),
-            ContractViolation);
-    }
-}
-
-// --- fault plans on the sharded world ------------------------------------
-
-ScenarioSpec sharded_fault_spec(const fault::FaultPlan& plan, int threads,
-                                std::uint64_t seed = 5) {
-    StreamConfig stream;
-    stream.clients = 4;
-    stream.duration = Time::from_seconds(40);
-    stream.seed = seed;
-    stream.fault_plan = plan;
-    HotspotConfig options;
-    options.sharding = ShardingConfig{}.with_shards(2).with_threads(threads);
-    return ScenarioSpec::hotspot().with_stream(stream).with_hotspot(options);
-}
-
-TEST(ShardedHotspotFaultTest, NicLockupInjectsAndStaysThreadInvariant) {
-    fault::FaultPlan plan;
-    plan.nic_lockup(Time::from_seconds(10), Time::from_seconds(3));
-    const ScenarioResult inline_run = backend.run(sharded_fault_spec(plan, 0));
-    EXPECT_GT(inline_run.faults_injected, 0u);
-    const ScenarioResult parallel = backend.run(sharded_fault_spec(plan, 2));
-    expect_bit_identical(inline_run, parallel, "nic-lockup threads");
-    EXPECT_EQ(inline_run.faults_injected, parallel.faults_injected);
-}
-
-TEST(ShardedHotspotFaultTest, CrashAndLateJoinPerCell) {
-    // One crash and one delayed registration per cell (clients 1, 3 land
-    // on shard 0; clients 2, 4 on shard 1): the planner must keep serving
-    // the healthy clients, book zero-delivery completions for the crashed
-    // ones, and hold grants until the late joiners register.
-    fault::FaultPlan plan;
-    plan.client_crash(Time::from_seconds(12), Time::from_seconds(8), 1)
-        .client_crash(Time::from_seconds(14), Time::from_seconds(8), 2)
-        .delayed_registration(Time::from_seconds(5), 3)
-        .delayed_registration(Time::from_seconds(6), 4);
-    const ScenarioResult inline_run = backend.run(sharded_fault_spec(plan, 0));
-    EXPECT_GT(inline_run.faults_injected, 0u);
-    ASSERT_EQ(inline_run.clients.size(), 4u);
-    // Every client — crashed-and-revived or late-joined — still receives.
-    for (const ClientMetrics& c : inline_run.clients) {
-        EXPECT_GT(c.received.bytes(), 0u);
-    }
-    const ScenarioResult parallel = backend.run(sharded_fault_spec(plan, 2));
-    expect_bit_identical(inline_run, parallel, "crash/late-join threads");
-    EXPECT_EQ(inline_run.faults_injected, parallel.faults_injected);
-}
-
-TEST(ShardedHotspotFaultTest, BeaconAndPollKindsStayRejected) {
-    // The sharded world has no beacon/poll MAC: those kinds must still be
-    // refused at validation with a pointer to the single-queue hotspot.
-    {
-        fault::FaultPlan plan;
-        plan.beacon_loss(Time::from_seconds(5), Time::from_seconds(5));
-        EXPECT_THROW(backend.run(sharded_fault_spec(plan, 0)), ContractViolation);
-    }
-    {
-        fault::FaultPlan plan;
-        plan.schedule_drop(Time::from_seconds(5), Time::from_seconds(5), 0.5);
-        EXPECT_THROW(backend.run(sharded_fault_spec(plan, 0)), ContractViolation);
-    }
-}
-
-}  // namespace
-}  // namespace wlanps::core
