@@ -45,10 +45,6 @@
 ///            needs a -DWLANPS_OBS=ON build and --config federation
 ///   --obs-stream: stream federation metrics incrementally to a compact
 ///            WPSM binary file (bench_diff.py decodes it)
-/// Federation (city scale, src/fed): --aps, --shards, --threads, --roaming,
-///   --admission, --capacity, --arrivals, --flash and --obs-stream shape
-///   the federation only; any other run (--config or --policy) refuses them
-///   with exit code 2.
 ///   --obs-sample-interval: poll queue depth / live clients / per-client
 ///            energy every S sim-seconds and export them as counter tracks
 ///            in the --obs-trace file; also drives the watchdog sweep
@@ -61,6 +57,10 @@
 ///            threshold (--obs-post-mortem-threshold S, default 1), dump
 ///            the flight recorder's tail to PREFIX.c<id>.<n>.flight.json
 ///            (implies --obs-flight 1024)
+/// Federation (city scale, src/fed): --aps, --shards, --threads, --roaming,
+///   --admission, --capacity, --arrivals, --flash and --obs-stream shape
+///   the federation only; any other run (--config or --policy) refuses them
+///   with exit code 2.
 ///
 /// A runtime invariant watchdog is always armed: federation runs sweep it
 /// at chunk boundaries (burst conservation, slab epoch monotonicity,

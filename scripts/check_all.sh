@@ -14,9 +14,9 @@
 #      + UndefinedBehaviorSanitizer with obs hooks on — zero leaks and
 #      zero UBSan reports
 #   4. scripts/check_perf.sh: gated benchmarks (event kernel, BER→PER
-#      lookups, sharded hotspot) within 5% of baseline, obs-enabled
-#      null-check overhead within 5%, sharded 4-thread speedup >= 2.5x on
-#      hosts with >= 4 cores
+#      lookups, inline federation) within 5% of baseline, obs-enabled
+#      null-check and attached shard-telemetry overhead within 5% each,
+#      federation 4-thread speedup >= 2.5x on hosts with >= 4 cores
 #   5. scripts/check_xval.sh: analytic backend agrees with the simulator
 #      on the AB12 calibration grid (per-point saving within 5%)
 #   6. policy ablation: the AB14 power-policy x fault grid in --quick
